@@ -6,6 +6,10 @@
 #include <thread>
 #include <utility>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 namespace sqlb::des {
 namespace {
 
@@ -93,6 +97,18 @@ unsigned HwTopology::SocketOf(unsigned cpu) const {
     if (info.cpu == cpu) return info.socket;
   }
   return 0;
+}
+
+std::size_t UsableCpuCount() {
+#if defined(__linux__)
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    const int count = CPU_COUNT(&mask);
+    if (count > 0) return static_cast<std::size_t>(count);
+  }
+#endif
+  return std::max(1u, std::thread::hardware_concurrency());
 }
 
 }  // namespace sqlb::des

@@ -55,6 +55,10 @@ struct HwTopology {
   unsigned SocketOf(unsigned cpu) const;
 };
 
+/// CPUs the calling thread may run on (its sched_getaffinity mask; threads
+/// it starts inherit the mask), else hardware_concurrency; at least 1.
+std::size_t UsableCpuCount();
+
 }  // namespace sqlb::des
 
 #endif  // SQLB_DES_HW_TOPO_H_

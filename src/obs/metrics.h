@@ -246,13 +246,18 @@ inline constexpr const char kMetricBatchWindowPrefix[] = "batch.window.";
 inline constexpr const char kMetricServingIntakeWall[] =
     "serving.intake_wall_seconds";
 // Idle-parking accounting of the serving mediator groups: how many times a
-// group thread parked on its condvar after the spin -> yield ladder found
-// no work, and how many wakeups found the queues still empty (a produce
-// that raced the park, or a notification for work another pass already
+// group thread parked on its condvar after its poll window passed with no
+// work, and how many wakeups found the queues still empty (a produce that
+// raced the park, or a notification for work another pass already
 // drained). Folded over every group at Stop.
 inline constexpr const char kMetricServingIdleParks[] = "serving.idle_parks";
 inline constexpr const char kMetricServingSpuriousWakes[] =
     "serving.spurious_wakes";
+// CPU time the mediator group threads used (CLOCK_THREAD_CPUTIME_ID, read
+// by each thread as its loop exits), summed over the groups at Stop: the
+// cost side of polling instead of parking.
+inline constexpr const char kMetricServingMediatorCpu[] =
+    "serving.mediator_cpu_ns";
 
 }  // namespace sqlb::obs
 

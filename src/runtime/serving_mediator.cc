@@ -1,11 +1,13 @@
 #include "runtime/serving_mediator.h"
 
 #include <algorithm>
+#include <ctime>
 #include <iterator>
 #include <string>
 #include <utility>
 
 #include "common/status.h"
+#include "des/hw_topo.h"
 #include "obs/observability.h"
 #include "obs/trace.h"
 
@@ -62,6 +64,14 @@ class IntakeGuard {
  private:
   std::atomic<std::uint64_t>& counter_;
 };
+
+/// CPU time the calling thread has used, in nanoseconds.
+std::uint64_t ThreadCpuNs() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<std::uint64_t>(ts.tv_sec) * 1000000000u +
+         static_cast<std::uint64_t>(ts.tv_nsec);
+}
 
 }  // namespace
 
@@ -181,6 +191,12 @@ ServingProducer* ServingMediator::RegisterProducer() {
 void ServingMediator::Start() {
   SQLB_CHECK(!started_, "Start may only be called once");
   started_ = true;
+  // Polling holds a CPU per group while it waits; that only pays when
+  // every group and producer has a CPU of its own. Oversubscribed, a
+  // polling group takes the CPU a producer or a busy group needs.
+  if (groups_.size() + producers_.size() <= des::UsableCpuCount()) {
+    poll_window_ = kIdlePollWindow;
+  }
   t0_ = Clock::now();
   for (auto& group : groups_) {
     GroupState* g = group.get();
@@ -188,13 +204,18 @@ void ServingMediator::Start() {
   }
 }
 
-bool ServingMediator::Submit(ServingProducer* producer,
-                             std::uint32_t consumer_index,
-                             std::uint32_t class_index) {
+void ServingMediator::CheckRequest(std::uint32_t consumer_index,
+                                   std::uint32_t class_index) const {
   SQLB_CHECK(consumer_index < engine_.population().num_consumers(),
              "consumer index out of range");
   SQLB_CHECK(class_index < engine_.population().num_query_classes(),
              "query class out of range");
+}
+
+bool ServingMediator::Submit(ServingProducer* producer,
+                             std::uint32_t consumer_index,
+                             std::uint32_t class_index) {
+  CheckRequest(consumer_index, class_index);
   const IntakeGuard guard(in_submit_);
   if (!accepting_.load(std::memory_order_seq_cst)) {
     producer->shed_.fetch_add(1, std::memory_order_release);
@@ -274,6 +295,11 @@ std::size_t ServingMediator::SubmitMany(ServingProducer* producer,
                                         const ServingRequest* requests,
                                         std::size_t count) {
   if (count == 0) return 0;
+  // Every request, not just the first of each same-shard run: a later
+  // out-of-range consumer can share the run's shard residue.
+  for (std::size_t i = 0; i < count; ++i) {
+    CheckRequest(requests[i].consumer, requests[i].class_index);
+  }
   const IntakeGuard guard(in_submit_);
   if (!accepting_.load(std::memory_order_seq_cst)) {
     producer->shed_.fetch_add(count, std::memory_order_release);
@@ -283,12 +309,6 @@ std::size_t ServingMediator::SubmitMany(ServingProducer* producer,
   std::size_t accepted = 0;
   while (accepted < count) {
     const std::uint32_t shard = requests[accepted].consumer % num_shards;
-    SQLB_CHECK(requests[accepted].consumer <
-                   engine_.population().num_consumers(),
-               "consumer index out of range");
-    SQLB_CHECK(requests[accepted].class_index <
-                   engine_.population().num_query_classes(),
-               "query class out of range");
     // Longest same-shard run from here, capped at the stack chunk.
     std::size_t run = 1;
     while (run < kSubmitRunCap && accepted + run < count &&
@@ -391,7 +411,9 @@ void ServingMediator::MediatorLoop(GroupState& group) {
   auto next_housekeeping =
       t0_ + std::chrono::duration_cast<Clock::duration>(
                 std::chrono::duration<double>(serving_.housekeeping_interval));
-  std::size_t idle_passes = 0;
+  // When the last pass that did work ended: the poll window counts idle
+  // time from there, however long that pass spent mediating.
+  Clock::time_point idle_since = Clock::now();
   while (!stop_.load(std::memory_order_acquire)) {
     const Clock::time_point wall = Clock::now();
     const SimTime now = SimNowFromWall(wall);
@@ -406,21 +428,20 @@ void ServingMediator::MediatorLoop(GroupState& group) {
           std::chrono::duration<double>(serving_.housekeeping_interval));
     }
     if (drained > 0 || flushed > 0) {
-      idle_passes = 0;
+      idle_since = Clock::now();
       continue;
     }
-    // Idle ladder: spin flat-out, then spin with yields, then park until a
-    // producer submits or a deadline (housekeeping, DES event, pending
-    // window) comes due.
-    ++idle_passes;
-    if (idle_passes <= serving_.idle_spin_passes) continue;
-    if (idle_passes <= serving_.idle_spin_passes + serving_.idle_yield_passes) {
+    // Idle: keep polling, yielding between passes, until the poll window
+    // has passed with no work; then park until a producer submits or a
+    // deadline (housekeeping, DES event, pending window) comes due. A wake
+    // that brings no work parks again at once.
+    if (wall - idle_since < poll_window_) {
       std::this_thread::yield();
       continue;
     }
     Park(group, next_housekeeping);
-    idle_passes = 0;
   }
+  group.cpu_ns = ThreadCpuNs();
 }
 
 std::size_t ServingMediator::DrainIntake(GroupState& group, SimTime now) {
@@ -635,15 +656,19 @@ ServingReport ServingMediator::Stop() {
 
   // Finalization mirrors ScenarioEngine::Run: remaining counts, sealed
   // spans, registries folded in fixed lane order. The per-producer
-  // histograms and the idle-parking tallies fold into the coordinator
-  // registry first so the merged snapshot carries them under canonical
-  // names.
+  // histograms, the idle-parking tallies and the group threads' CPU time
+  // fold into the coordinator registry first so the merged snapshot
+  // carries them under canonical names.
   obs::FlightRecorder& recorder = engine_.recorder();
   obs::MetricsRegistry& coord = recorder.registry(recorder.coordinator_lane());
   coord.GetHistogram(obs::kMetricServingIntakeWall).Merge(report.intake_wall);
   coord.GetCounter(obs::kMetricServingIdleParks).Inc(report.idle_parks);
   coord.GetCounter(obs::kMetricServingSpuriousWakes)
       .Inc(report.spurious_wakes);
+  obs::Counter& mediator_cpu = coord.GetCounter(obs::kMetricServingMediatorCpu);
+  for (const auto& group : groups_) {
+    mediator_cpu.Inc(group->cpu_ns);
+  }
   std::size_t active = 0;
   for (const auto& core : cores_) {
     active += core->active_provider_count();

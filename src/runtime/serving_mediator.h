@@ -45,16 +45,22 @@
 /// reproduces PR 9's single-thread tier bit-for-bit (same query ids, same
 /// decision log, same counters).
 ///
-/// Idle behavior is adaptive rather than a fixed sleep: a group thread that
-/// finds no work spins for idle_spin_passes loop passes, yields for
-/// idle_yield_passes more, then *parks* on a per-group condition variable.
-/// Producers wake a parked group on submit (Dekker-style seq_cst fences
-/// pair the producer's publish -> parked-flag load with the mediator's
-/// parked-flag store -> queue check, so no submit is lost); DES completions
-/// and housekeeping are honored by parking only until the earliest of the
-/// next housekeeping tick, the group simulator's next event, and the
-/// earliest pending batch-window expiry. Parks and empty-handed wakeups are
-/// counted (serving.idle_parks / serving.spurious_wakes in the metrics
+/// Idle behavior: a group thread that finds no work keeps *polling* — it
+/// runs its normal pass (DES catch-up, intake drain, due flushes) with a
+/// sched yield between passes — until kIdlePollWindow of wall time has
+/// passed since its last pass that drained or flushed anything ended, and
+/// only then *parks* on a per-group condition variable. Start() polls only
+/// when every mediator group and registered producer can hold a CPU the
+/// process may run on; otherwise the window is 0 and a group parks on its
+/// first empty pass, leaving the CPUs to the threads that have work. Producers
+/// wake a parked group on submit (Dekker-style seq_cst fences pair the
+/// producer's publish -> parked-flag load with the mediator's parked-flag
+/// store -> queue check, so no submit is lost); DES completions and
+/// housekeeping are honored by parking only until the earliest of the next
+/// housekeeping tick, the group simulator's next event, and the earliest
+/// pending batch-window expiry. Parks, empty-handed wakeups and the group
+/// threads' CPU time are counted (serving.idle_parks,
+/// serving.spurious_wakes and serving.mediator_cpu_ns in the metrics
 /// registry).
 ///
 /// Latency is measured in wall time, per (producer, group): group g records
@@ -109,12 +115,6 @@ struct ServingConfig {
   /// (a per-shard reservation counter, not the queue's chunk-rounded node
   /// budget); Submit returns false (shed) beyond it.
   std::size_t max_queued_per_shard = 65536;
-  /// Idle ladder: loop passes to spin flat-out, then passes to spin with a
-  /// sched yield between them, before parking on the group condvar until a
-  /// producer submits or a deadline (housekeeping tick, next DES event,
-  /// pending batch-window expiry) arrives.
-  std::size_t idle_spin_passes = 64;
-  std::size_t idle_yield_passes = 16;
   /// Record the replay trace (queries, bursts, decisions). Off for
   /// pure-throughput benchmarking.
   bool record_trace = true;
@@ -291,6 +291,20 @@ class ServingMediator {
   std::size_t mediator_threads() const { return groups_.size(); }
   const ScenarioEngine& engine() const { return engine_; }
 
+  /// Wall time an idle group keeps polling, after its last pass that did
+  /// work ended, before it parks. Picked from a 200 us / 500 us / 1 ms
+  /// sweep on perfbench serve-steady (10k q/s per group, exponential gaps
+  /// of 100 us mean; 4-vCPU host): 200 us still parks on 0.16 requests in 1
+  /// (decision p50 1.9-4.4 us), 500 us on 0.01 (p50 1.5-1.9 us, against
+  /// 16-32 us with a park per gap). 1 ms gives the same p50 there, but at
+  /// 2k q/s a group then burns 0.63 of a CPU instead of 0.39 while it waits.
+  static constexpr std::chrono::microseconds kIdlePollWindow{500};
+  /// The poll window Start() chose: kIdlePollWindow when the mediator
+  /// groups plus the registered producers fit in the CPUs the process may
+  /// run on (des::UsableCpuCount()), zero (park on the first empty pass)
+  /// when they do not. Zero before Start().
+  std::chrono::nanoseconds idle_poll_window() const { return poll_window_; }
+
  private:
   using Clock = std::chrono::steady_clock;
 
@@ -347,6 +361,8 @@ class ServingMediator {
     std::uint64_t bursts_flushed = 0;
     std::uint64_t idle_parks = 0;
     std::uint64_t spurious_wakes = 0;
+    /// The group thread's CPU time, read by the thread as its loop exits.
+    std::uint64_t cpu_ns = 0;
     /// Park/wake state: parked is the producer-visible flag (seq_cst-fence
     /// paired with the queue publish, see MediatorLoop/WakeIfParked).
     std::mutex park_mu;
@@ -367,13 +383,16 @@ class ServingMediator {
   double WindowFor(const ShardState& state) const;
   /// Wall-cadence stand-in for the DES epoch barrier, per group.
   void Housekeep(GroupState& group);
-  /// Spin/yield exhausted: park until a submit, a deadline, or stop.
+  /// Poll window exhausted: park until a submit, a deadline, or stop.
   void Park(GroupState& group, Clock::time_point next_housekeeping);
   bool GroupQueuesEmpty(const GroupState& group) const;
   void WakeIfParked(GroupState& group);
   GroupState& GroupOfShard(std::uint32_t shard) {
     return *groups_[shard / shards_per_group_];
   }
+  /// Aborts on a consumer or query class outside the population.
+  void CheckRequest(std::uint32_t consumer_index,
+                    std::uint32_t class_index) const;
   /// One same-shard run of a SubmitMany batch: reserve, push, account.
   /// Returns how many of `count` were accepted.
   std::size_t SubmitRun(ServingProducer* producer, std::uint32_t shard,
@@ -404,6 +423,7 @@ class ServingMediator {
   /// Queries mediated so far (Drain's progress signal).
   std::atomic<std::uint64_t> served_{0};
   Clock::time_point t0_;
+  std::chrono::nanoseconds poll_window_{0};
   bool started_ = false;
   bool stopped_ = false;
 

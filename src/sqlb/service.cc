@@ -216,12 +216,15 @@ void Service::Start() {
 bool Service::Submit(runtime::ServingProducer* producer,
                      std::uint32_t consumer_index,
                      std::uint32_t class_index) {
+  SQLB_CHECK(config_.mode == Mode::kServing, "Submit is serving-mode only");
   return serving_->Submit(producer, consumer_index, class_index);
 }
 
 std::size_t Service::SubmitMany(runtime::ServingProducer* producer,
                                 const runtime::ServingRequest* requests,
                                 std::size_t count) {
+  SQLB_CHECK(config_.mode == Mode::kServing,
+             "SubmitMany is serving-mode only");
   return serving_->SubmitMany(producer, requests, count);
 }
 
@@ -229,6 +232,8 @@ std::size_t Service::SubmitBatch(runtime::ServingProducer* producer,
                                  std::uint32_t consumer_index,
                                  std::uint32_t class_index,
                                  std::size_t count) {
+  SQLB_CHECK(config_.mode == Mode::kServing,
+             "SubmitBatch is serving-mode only");
   // Identical requests all land on one shard, so feed the batched path in
   // fixed-size chunks — each chunk costs one reservation and one tail
   // exchange instead of one per query.

@@ -201,5 +201,24 @@ TEST(ServiceParityTest, ServingLifecycleWorksThroughTheFacade) {
       << diff;
 }
 
+// A mono or sharded service has no serving tier behind it: submitting to
+// one must fail loudly, never dereference the absent intake.
+TEST(ServiceModeDeathTest, SubmitPathsAreServingModeOnly) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  for (Mode mode : {Mode::kMono, Mode::kSharded}) {
+    Config config;
+    config.mode = mode;
+    config.scenario() = SmallScenario();
+    std::unique_ptr<Service> service = Service::Create(config, SqlbFactory());
+    ASSERT_NE(service, nullptr);
+    const runtime::ServingRequest request;
+    EXPECT_DEATH(service->Submit(nullptr, 0, 0), "Submit is serving-mode only");
+    EXPECT_DEATH(service->SubmitMany(nullptr, &request, 1),
+                 "SubmitMany is serving-mode only");
+    EXPECT_DEATH(service->SubmitBatch(nullptr, 0, 0, 1),
+                 "SubmitBatch is serving-mode only");
+  }
+}
+
 }  // namespace
 }  // namespace sqlb
