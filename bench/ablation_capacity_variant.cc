@@ -9,12 +9,12 @@
 
 #include "bench_common.h"
 #include "methods/capacity_based.h"
-#include "runtime/mediation_system.h"
+#include "runtime/scenario_engine.h"
 
 namespace sqlb {
 namespace {
 
-using runtime::MediationSystem;
+using runtime::ScenarioEngine;
 
 void Main() {
   bench::PrintHeader("Ablation: Capacity based variant",
@@ -42,10 +42,10 @@ void Main() {
     runtime::RunResult result = bench::RunMonoService(config, [ranking](std::uint32_t) {
       return std::make_unique<CapacityBasedMethod>(ranking);
     });
-    const double ut = result.series.Find(MediationSystem::kSeriesUtMean)
+    const double ut = result.series.Find(ScenarioEngine::kSeriesUtMean)
                           ->MeanOver(config.stats_warmup, config.duration);
     const double fairness =
-        result.series.Find(MediationSystem::kSeriesUtFair)
+        result.series.Find(ScenarioEngine::kSeriesUtFair)
             ->MeanOver(config.stats_warmup, config.duration);
     const double starved =
         100.0 *

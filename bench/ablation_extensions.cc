@@ -9,12 +9,12 @@
 // the price discount on loaded providers.
 
 #include "bench_common.h"
-#include "runtime/mediation_system.h"
+#include "runtime/scenario_engine.h"
 
 namespace sqlb {
 namespace {
 
-using runtime::MediationSystem;
+using runtime::ScenarioEngine;
 
 void Main() {
   bench::PrintHeader("Extensions", "full method scoreboard at 70% load");
@@ -46,13 +46,13 @@ void Main() {
   for (experiments::MethodKind kind : methods) {
     runtime::RunResult result = experiments::RunMethod(kind, config);
     const double cons =
-        result.series.Find(MediationSystem::kSeriesConsAllocSatMean)
+        result.series.Find(ScenarioEngine::kSeriesConsAllocSatMean)
             ->MeanOver(config.stats_warmup, config.duration);
     const double prov =
-        result.series.Find(MediationSystem::kSeriesProvAllocSatPrefMean)
+        result.series.Find(ScenarioEngine::kSeriesProvAllocSatPrefMean)
             ->MeanOver(config.stats_warmup, config.duration);
     const double fairness =
-        result.series.Find(MediationSystem::kSeriesUtFair)
+        result.series.Find(ScenarioEngine::kSeriesUtFair)
             ->MeanOver(config.stats_warmup, config.duration);
     table.AddRow({experiments::MethodName(kind),
                   FormatNumber(result.response_time.mean(), 3),

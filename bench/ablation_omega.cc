@@ -12,12 +12,12 @@
 
 #include "bench_common.h"
 #include "core/sqlb_method.h"
-#include "runtime/mediation_system.h"
+#include "runtime/scenario_engine.h"
 
 namespace sqlb {
 namespace {
 
-using runtime::MediationSystem;
+using runtime::ScenarioEngine;
 
 struct Variant {
   const char* label;
@@ -63,10 +63,10 @@ void Main() {
         });
 
     const double cons =
-        result.series.Find(MediationSystem::kSeriesConsAllocSatMean)
+        result.series.Find(ScenarioEngine::kSeriesConsAllocSatMean)
             ->MeanOver(run_config.stats_warmup, run_config.duration);
     const double prov =
-        result.series.Find(MediationSystem::kSeriesProvAllocSatPrefMean)
+        result.series.Find(ScenarioEngine::kSeriesProvAllocSatPrefMean)
             ->MeanOver(run_config.stats_warmup, run_config.duration);
     table.AddRow({variant.label, FormatNumber(cons, 3),
                   FormatNumber(prov, 3),

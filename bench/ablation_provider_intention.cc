@@ -9,12 +9,12 @@
 
 #include "bench_common.h"
 #include "core/sqlb_method.h"
-#include "runtime/mediation_system.h"
+#include "runtime/scenario_engine.h"
 
 namespace sqlb {
 namespace {
 
-using runtime::MediationSystem;
+using runtime::ScenarioEngine;
 
 void Main() {
   bench::PrintHeader("Ablation: provider intention",
@@ -52,10 +52,10 @@ void Main() {
     runtime::RunResult result = bench::RunMonoService(
         config, [](std::uint32_t) { return std::make_unique<SqlbMethod>(); });
     const double sat =
-        result.series.Find(MediationSystem::kSeriesProvSatPrefMean)
+        result.series.Find(ScenarioEngine::kSeriesProvSatPrefMean)
             ->MeanOver(config.stats_warmup, config.duration);
     const double fairness =
-        result.series.Find(MediationSystem::kSeriesUtFair)
+        result.series.Find(ScenarioEngine::kSeriesUtFair)
             ->MeanOver(config.stats_warmup, config.duration);
     table.AddRow({variant.label, FormatNumber(sat, 3),
                   FormatNumber(result.response_time.mean(), 3),

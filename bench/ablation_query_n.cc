@@ -12,12 +12,12 @@
 
 #include "bench_common.h"
 #include "core/sqlb_method.h"
-#include "runtime/mediation_system.h"
+#include "runtime/scenario_engine.h"
 
 namespace sqlb {
 namespace {
 
-using runtime::MediationSystem;
+using runtime::ScenarioEngine;
 
 void Main() {
   bench::PrintHeader("Ablation: q.n",
@@ -43,10 +43,10 @@ void Main() {
     runtime::RunResult result = bench::RunMonoService(
         config, [](std::uint32_t) { return std::make_unique<SqlbMethod>(); });
     const double sat =
-        result.series.Find(MediationSystem::kSeriesConsSatMean)
+        result.series.Find(ScenarioEngine::kSeriesConsSatMean)
             ->MeanOver(config.stats_warmup, config.duration);
     const double allocsat =
-        result.series.Find(MediationSystem::kSeriesConsAllocSatMean)
+        result.series.Find(ScenarioEngine::kSeriesConsAllocSatMean)
             ->MeanOver(config.stats_warmup, config.duration);
     table.AddRow({std::to_string(n),
                   FormatNumber(0.2 * static_cast<double>(n)),

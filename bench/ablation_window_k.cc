@@ -9,12 +9,12 @@
 
 #include "bench_common.h"
 #include "core/sqlb_method.h"
-#include "runtime/mediation_system.h"
+#include "runtime/scenario_engine.h"
 
 namespace sqlb {
 namespace {
 
-using runtime::MediationSystem;
+using runtime::ScenarioEngine;
 
 void Main() {
   bench::PrintHeader("Ablation: window size k",
@@ -41,10 +41,10 @@ void Main() {
     runtime::RunResult result = bench::RunMonoService(
         config, [](std::uint32_t) { return std::make_unique<SqlbMethod>(); });
     const double sat =
-        result.series.Find(MediationSystem::kSeriesProvSatPrefMean)
+        result.series.Find(ScenarioEngine::kSeriesProvSatPrefMean)
             ->MeanOver(config.stats_warmup, config.duration);
     const double allocsat =
-        result.series.Find(MediationSystem::kSeriesProvAllocSatPrefMean)
+        result.series.Find(ScenarioEngine::kSeriesProvAllocSatPrefMean)
             ->MeanOver(config.stats_warmup, config.duration);
     table.AddRow({std::to_string(k), FormatNumber(sat, 3),
                   FormatNumber(allocsat, 3),

@@ -18,12 +18,12 @@
 //       workload grows (its adaptivity); Mariposa-like stays unfair.
 
 #include "bench_common.h"
-#include "runtime/mediation_system.h"
+#include "runtime/scenario_engine.h"
 
 namespace sqlb {
 namespace {
 
-using runtime::MediationSystem;
+using runtime::ScenarioEngine;
 
 void Main() {
   bench::PrintHeader("Figure 4(a)-(h)",
@@ -41,29 +41,29 @@ void Main() {
 
   bench::PrintSeriesTable(
       "Figure 4(a): provider satisfaction mean, on intentions  mu(ds,P)",
-      MediationSystem::kSeriesProvSatIntMean, runs, stride);
+      ScenarioEngine::kSeriesProvSatIntMean, runs, stride);
   bench::PrintSeriesTable(
       "Figure 4(b): provider satisfaction mean, on preferences",
-      MediationSystem::kSeriesProvSatPrefMean, runs, stride);
+      ScenarioEngine::kSeriesProvSatPrefMean, runs, stride);
   bench::PrintSeriesTable(
       "Figure 4(c): provider allocation-satisfaction mean, on preferences "
       "mu(das,P)",
-      MediationSystem::kSeriesProvAllocSatPrefMean, runs, stride);
+      ScenarioEngine::kSeriesProvAllocSatPrefMean, runs, stride);
   bench::PrintSeriesTable(
       "Figure 4(d): provider satisfaction fairness  f(ds,P)",
-      MediationSystem::kSeriesProvSatIntFair, runs, stride);
+      ScenarioEngine::kSeriesProvSatIntFair, runs, stride);
   bench::PrintSeriesTable(
       "Figure 4(e): consumer allocation-satisfaction mean  mu(das,C)",
-      MediationSystem::kSeriesConsAllocSatMean, runs, stride);
+      ScenarioEngine::kSeriesConsAllocSatMean, runs, stride);
   bench::PrintSeriesTable(
       "Figure 4(f): consumer satisfaction fairness  f(ds,C)",
-      MediationSystem::kSeriesConsSatFair, runs, stride);
+      ScenarioEngine::kSeriesConsSatFair, runs, stride);
   bench::PrintSeriesTable(
       "Figure 4(g): utilization mean  mu(Ut,P)",
-      MediationSystem::kSeriesUtMean, runs, stride);
+      ScenarioEngine::kSeriesUtMean, runs, stride);
   bench::PrintSeriesTable(
       "Figure 4(h): utilization fairness  f(Ut,P)",
-      MediationSystem::kSeriesUtFair, runs, stride);
+      ScenarioEngine::kSeriesUtFair, runs, stride);
 
   bench::WriteRunCsvs("fig4_quality", runs);
 

@@ -37,7 +37,8 @@
 //     rounds x M ceil(log2 M) budget the closed form promises.
 //
 // What to look for:
-//   - M = 1 (sharded) reproduces the mono-mediator exactly, and the
+//   - The 1-shard least-loaded row reproduces the mono row (sqlb::Service's
+//     Mode::kMono, one hash-routed shard) exactly, and the
 //     parallel rows reproduce the serial locality-routed baseline's
 //     workload exactly across every thread count (determinism pin).
 //   - Allocation throughput grows with M (>= 2x at M = 8 vs mono), and the
@@ -71,8 +72,9 @@
 #include "core/sqlb_method.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "runtime/mediation_system.h"
+#include "runtime/scenario_engine.h"
 #include "shard/sharded_mediation_system.h"
+#include "sqlb/service.h"
 #include "workload/population.h"
 
 namespace sqlb {
@@ -165,11 +167,18 @@ double NominalArrivalRate(const runtime::SystemConfig& config) {
 }
 
 ScalePoint RunMono(const runtime::SystemConfig& config) {
-  SqlbMethod method;
-  runtime::MediationSystem system(config, &method);
+  Config mono;
+  mono.mode = Mode::kMono;
+  mono.scenario() = config;
+  const std::unique_ptr<Service> service = Service::Create(
+      mono, [](std::uint32_t) { return std::make_unique<SqlbMethod>(); });
+  // The timed region includes Mode::kMono's driver construction (Run()
+  // builds it): under a millisecond at this population, next to a run of
+  // seconds.
   const auto start = Clock::now();
-  const runtime::RunResult result = system.Run();
+  const shard::ShardedRunResult sharded = service->Run();
   const auto end = Clock::now();
+  const runtime::RunResult& result = sharded.run;
 
   ScalePoint point;
   point.label = "mono";
@@ -185,15 +194,12 @@ ScalePoint RunMono(const runtime::SystemConfig& config) {
   point.rt_p999 = result.ResponseTimeQuantile(0.999);
   point.cons_sat =
       result.series
-          .Find(runtime::MediationSystem::kSeriesConsAllocSatMean)
+          .Find(runtime::ScenarioEngine::kSeriesConsAllocSatMean)
           ->samples.back()
           .second;
+  point.gossip = sharded.gossip_delivered;
   point.providers = config.population.num_providers;
-  std::size_t agent_bytes = system.engine().agent_store().columns_bytes();
-  for (const runtime::ProviderAgent& agent : system.engine().providers()) {
-    agent_bytes += agent.ResidentBytes();
-  }
-  point.bytes_per_provider = static_cast<double>(agent_bytes) /
+  point.bytes_per_provider = static_cast<double>(sharded.agent_state_bytes) /
                              static_cast<double>(point.providers);
   point.peak_rss_mb = PeakRssMb();
   return point;
@@ -274,7 +280,7 @@ ScalePoint RunSharded(const runtime::SystemConfig& base,
   point.rt_p999 = result.run.ResponseTimeQuantile(0.999);
   point.cons_sat =
       result.run.series
-          .Find(runtime::MediationSystem::kSeriesConsAllocSatMean)
+          .Find(runtime::ScenarioEngine::kSeriesConsAllocSatMean)
           ->samples.back()
           .second;
   point.route_imbalance = result.RouteImbalance();

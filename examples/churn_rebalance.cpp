@@ -21,7 +21,6 @@
 #include <thread>
 
 #include "core/sqlb_method.h"
-#include "runtime/mediation_system.h"
 #include "shard/sharded_mediation_system.h"
 #include "sqlb/service.h"
 

@@ -14,11 +14,11 @@
 
 #include "common/reporting.h"
 #include "experiments/experiments.h"
-#include "runtime/mediation_system.h"
+#include "runtime/scenario_engine.h"
 
 int main() {
   using namespace sqlb;
-  using runtime::MediationSystem;
+  using runtime::ScenarioEngine;
 
   runtime::SystemConfig config;
   config.population.num_consumers = 50;
@@ -43,13 +43,13 @@ int main() {
     runtime::RunResult result = experiments::RunMethod(kind, config);
 
     const double cons_allocsat =
-        result.series.Find(MediationSystem::kSeriesConsAllocSatMean)
+        result.series.Find(ScenarioEngine::kSeriesConsAllocSatMean)
             ->MeanOver(config.stats_warmup, config.duration);
     const double prov_allocsat =
-        result.series.Find(MediationSystem::kSeriesProvAllocSatPrefMean)
+        result.series.Find(ScenarioEngine::kSeriesProvAllocSatPrefMean)
             ->MeanOver(config.stats_warmup, config.duration);
     const double ut_fairness =
-        result.series.Find(MediationSystem::kSeriesUtFair)
+        result.series.Find(ScenarioEngine::kSeriesUtFair)
             ->MeanOver(config.stats_warmup, config.duration);
 
     table.AddRow({experiments::MethodName(kind),

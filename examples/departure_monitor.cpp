@@ -15,7 +15,7 @@
 #include <string>
 
 #include "experiments/experiments.h"
-#include "runtime/mediation_system.h"
+#include "runtime/scenario_engine.h"
 
 namespace {
 
@@ -26,15 +26,15 @@ struct Diagnosis {
 
 Diagnosis CaptiveDiagnosis(const sqlb::runtime::SystemConfig& base,
                            sqlb::experiments::MethodKind kind) {
-  using sqlb::runtime::MediationSystem;
+  using sqlb::runtime::ScenarioEngine;
   sqlb::runtime::SystemConfig config = base;  // captive: no departures
   sqlb::runtime::RunResult result = sqlb::experiments::RunMethod(kind, config);
   Diagnosis d;
   d.provider_allocsat =
-      result.series.Find(MediationSystem::kSeriesProvAllocSatPrefMean)
+      result.series.Find(ScenarioEngine::kSeriesProvAllocSatPrefMean)
           ->MeanOver(config.duration / 3, config.duration);
   d.consumer_allocsat =
-      result.series.Find(MediationSystem::kSeriesConsAllocSatMean)
+      result.series.Find(ScenarioEngine::kSeriesConsAllocSatMean)
           ->MeanOver(config.duration / 3, config.duration);
   return d;
 }

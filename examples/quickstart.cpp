@@ -12,7 +12,7 @@
 #include "core/sqlb_method.h"
 #include "experiments/experiments.h"
 #include "model/metrics.h"
-#include "runtime/mediation_system.h"
+#include "runtime/scenario_engine.h"
 #include "sqlb/service.h"
 
 int main() {
@@ -54,9 +54,9 @@ int main() {
   // allocation satisfaction should sit above 1 (SQLB works *for* the
   // consumers), and utilization should hover near the 0.6 workload.
   const auto* allocsat = result.series.Find(
-      runtime::MediationSystem::kSeriesConsAllocSatMean);
+      runtime::ScenarioEngine::kSeriesConsAllocSatMean);
   const auto* utilization =
-      result.series.Find(runtime::MediationSystem::kSeriesUtMean);
+      result.series.Find(runtime::ScenarioEngine::kSeriesUtMean);
   std::printf("consumer allocation satisfaction (final): %.3f\n",
               allocsat->samples.back().second);
   std::printf("provider utilization mean (final)       : %.3f\n",

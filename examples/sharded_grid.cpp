@@ -16,7 +16,7 @@
 #include <thread>
 
 #include "core/sqlb_method.h"
-#include "runtime/mediation_system.h"
+#include "runtime/scenario_engine.h"
 #include "shard/sharded_mediation_system.h"
 #include "sqlb/service.h"
 
@@ -91,7 +91,7 @@ int main() {
   // 5. Aggregated quality metrics use the same series keys as the
   //    mono-mediator, so existing tooling reads sharded runs unchanged.
   const auto* allocsat = result.run.series.Find(
-      runtime::MediationSystem::kSeriesConsAllocSatMean);
+      runtime::ScenarioEngine::kSeriesConsAllocSatMean);
   std::printf("\nconsumer allocation satisfaction (final): %.3f\n",
               allocsat->samples.back().second);
 

@@ -7,6 +7,8 @@
 #include "methods/mariposa.h"
 #include "methods/simple_methods.h"
 #include "methods/sqlb_economic.h"
+#include "runtime/scenario_engine.h"
+#include "sqlb/service.h"
 
 namespace sqlb::experiments {
 
@@ -60,9 +62,16 @@ std::unique_ptr<AllocationMethod> MakeMethod(MethodKind kind,
 
 runtime::RunResult RunMethod(MethodKind kind,
                              const runtime::SystemConfig& config) {
-  const std::unique_ptr<AllocationMethod> method =
-      MakeMethod(kind, config.seed);
-  return runtime::RunScenario(config, method.get());
+  Config mono;
+  mono.mode = Mode::kMono;
+  mono.scenario() = config;
+  const std::uint64_t seed = config.seed;
+  return Service::Create(mono,
+                         [kind, seed](std::uint32_t) {
+                           return MakeMethod(kind, seed);
+                         })
+      ->Run()
+      .run;
 }
 
 std::vector<MethodKind> PaperTrio() {
@@ -128,12 +137,12 @@ std::vector<SweepResult> RunWorkloadSweep(
         point.queries_issued += run.queries_issued;
         point.queries_completed += run.queries_completed;
         if (const auto* s = run.series.Find(
-                runtime::MediationSystem::kSeriesProvSatIntMean)) {
+                runtime::ScenarioEngine::kSeriesProvSatIntMean)) {
           point.mean_provider_satisfaction +=
               s->MeanOver(options.warmup, config.duration);
         }
         if (const auto* s = run.series.Find(
-                runtime::MediationSystem::kSeriesConsAllocSatMean)) {
+                runtime::ScenarioEngine::kSeriesConsAllocSatMean)) {
           point.mean_consumer_allocsat +=
               s->MeanOver(options.warmup, config.duration);
         }

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "core/allocation.h"
-#include "runtime/mediation_system.h"
+#include "runtime/scenario.h"
 
 /// \file
 /// The experiment harness behind every figure and table of Section 6 (see
@@ -42,8 +42,7 @@ std::unique_ptr<AllocationMethod> MakeMethod(MethodKind kind,
 
 /// The one run-setup every harness loop and example driver shares: builds a
 /// fresh method for `kind` (seeded from the config) and drives one full
-/// scenario through the ScenarioEngine entry point
-/// (runtime::RunScenario). Replaces the copy-pasted
+/// scenario through sqlb::Service in Mode::kMono. Replaces the copy-pasted
 /// make-method-then-run boilerplate that used to live in each caller.
 runtime::RunResult RunMethod(MethodKind kind,
                              const runtime::SystemConfig& config);
@@ -70,7 +69,7 @@ struct QualityRampResult {
 
 /// Runs each method once, captive participants, workload ramping
 /// 0.3 -> 1.0 over config.duration. The returned RunResult series carry the
-/// MediationSystem::kSeries* keys.
+/// ScenarioEngine::kSeries* keys.
 std::vector<QualityRampResult> RunQualityRamp(
     const runtime::SystemConfig& base, const std::vector<MethodKind>& methods);
 

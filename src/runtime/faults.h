@@ -43,9 +43,9 @@ inline constexpr std::size_t kNumReissueReasons = 2;
 /// "in_flight", "intake".
 const char* ReissueReasonName(ReissueReason reason);
 
-/// One scheduled shard kill. The shard index is interpreted by the driver
-/// that implements OnShardFault (the sharded tier's shard id; the mono
-/// system treats every kill as a crash-and-restart of its single mediator).
+/// One scheduled shard kill: the DES driver's shard id (< the run's shard
+/// count, which sqlb::Config::Validate() checks). Killing the last live
+/// shard — every kill at M = 1 — crashes and restarts it in place.
 struct ShardFaultEvent {
   SimTime time = 0.0;
   std::uint32_t shard = 0;

@@ -26,10 +26,11 @@
 /// Section 6.3.2 provider departure rules, all scoped to a *subset* of the
 /// provider population.
 ///
-/// `runtime::MediationSystem` runs exactly one core over every provider (the
-/// paper's mono-mediator, Section 6.1); `shard::ShardedMediationSystem` runs
-/// M cores over a consistent-hash partition of the providers. Both share
-/// this code path, which is what makes the M = 1 parity guarantee hold
+/// `shard::ShardedMediationSystem` runs M cores over a consistent-hash
+/// partition of the providers — at M = 1, one core over every provider, the
+/// paper's mono-mediator (Section 6.1) — and the serving tier runs one core
+/// per shard on its mediator threads. Every tier shares this code path,
+/// which is what makes serial == parallel and served == replayed hold
 /// bit-for-bit rather than approximately.
 
 namespace sqlb::runtime {
@@ -110,8 +111,9 @@ class MediationCore {
     DecisionLog* decisions = nullptr;
   };
 
-  /// What one mediation attempt did, so the caller (mono system or shard
-  /// router) decides between counting an infeasible query and re-routing.
+  /// What one mediation attempt did, so the caller (the shard router or a
+  /// serving group) decides between counting an infeasible query and
+  /// re-routing.
   enum class Outcome {
     /// Dispatched to >= 1 provider; the response callback will fire.
     kAllocated,
@@ -256,7 +258,7 @@ class MediationCore {
 
   /// Re-installs a snapshot's members on this (crashed, empty) core — the
   /// restart path of a mediator that has no survivor to fail over to (the
-  /// mono system, or the last live shard). Members whose agent departed
+  /// last live shard, M = 1 included). Members whose agent departed
   /// between snapshot and crash are skipped. Returns the number restored.
   std::size_t RestoreSnapshot(const CoreSnapshot& snapshot);
 
@@ -407,7 +409,7 @@ class MediationCore {
   CandidateColumnNeeds column_needs_;
 
   /// Global indices of still-active member providers (swap-removed on
-  /// departure, mirroring the mono-mediator's active list).
+  /// departure).
   std::vector<std::uint32_t> active_providers_;
   std::size_t initial_members_ = 0;
 
@@ -514,9 +516,9 @@ class DecisionLog {
 };
 
 // ---------------------------------------------------------------------------
-// System-level pieces shared verbatim by the mono-mediator and the sharded
-// tier. They live here — next to the pipeline — so the M = 1 parity
-// guarantee rests on shared code, not on two copies staying identical.
+// System-level pieces shared verbatim by the DES driver and the serving
+// tier. They live here — next to the pipeline — so the parity guarantees
+// rest on shared code, not on copies staying identical.
 // ---------------------------------------------------------------------------
 
 /// Nominal Poisson arrival rate at `t`, scaled by the surviving-consumer

@@ -1,6 +1,7 @@
 #include "runtime/scenario.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/math_util.h"
 
@@ -65,6 +66,18 @@ Status ValidateSystemConfig(const SystemConfig& config) {
     return Status::InvalidArgument(
         "SystemConfig::shard_faults needs positive snapshot_interval and "
         "drain_retry_interval when fault events are scheduled");
+  }
+  for (const ProviderChurnEvent& event : config.provider_churn.events) {
+    if (event.time < 0.0) {
+      return Status::InvalidArgument(
+          "SystemConfig::provider_churn has an event scheduled before t = 0");
+    }
+    if (event.provider_index >= config.population.num_providers) {
+      return Status::InvalidArgument(
+          "SystemConfig::provider_churn names provider " +
+          std::to_string(event.provider_index) + ", but the population has " +
+          std::to_string(config.population.num_providers) + " providers");
+    }
   }
   if (!config.provider_churn.events.empty() &&
       config.churn_retry_interval <= 0.0) {

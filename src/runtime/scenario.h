@@ -19,10 +19,10 @@
 
 /// \file
 /// What a run needs and what a run produces, independent of who runs it:
-/// the mono-mediator `runtime::MediationSystem` and the sharded
-/// `shard::ShardedMediationSystem` both consume a SystemConfig and emit a
-/// RunResult, which is what lets every experiment, bench and test compare
-/// the two tiers on identical terms.
+/// the DES driver `shard::ShardedMediationSystem` (at any shard count, the
+/// paper's mono-mediator being M = 1) and the serving tier's replay both
+/// consume a SystemConfig and emit a RunResult, which is what lets every
+/// experiment, bench and test compare runs on identical terms.
 
 namespace sqlb::runtime {
 
@@ -117,7 +117,7 @@ struct SystemConfig {
   obs::ObservabilityConfig observability;
 };
 
-/// The one validated entry point for a scenario config: every driver
+/// The one validated entry point for a scenario config: every mode
 /// (mono, sharded, serving) accepts a SystemConfig through this check, and
 /// sqlb::Config::Validate() folds it into the facade-level validation.
 /// Returns InvalidArgument with an actionable message instead of the
@@ -154,7 +154,7 @@ struct RunResult {
   std::size_t remaining_providers = 0;
   std::size_t remaining_consumers = 0;
 
-  // Time series keyed as documented on MediationSystem::kSeries* constants.
+  // Time series keyed as documented on ScenarioEngine::kSeries* constants.
   des::SeriesSet series;
 
   /// Run-level metrics snapshot (obs/): per-lane registries folded in fixed

@@ -16,26 +16,8 @@ void ScenarioEngine::Driver::Execute(des::Simulator& sim, SimTime duration) {
   sim.RunAll();
 }
 
-ChurnOutcome ScenarioEngine::Driver::OnProviderChurn(
-    des::Simulator& sim, const ProviderChurnEvent& event) {
-  (void)sim;
-  (void)event;
-  SQLB_CHECK(false,
-             "this driver does not implement provider churn; clear "
-             "SystemConfig::provider_churn or override OnProviderChurn");
-  return ChurnOutcome::kNoOp;
-}
-
-void ScenarioEngine::Driver::OnShardFault(des::Simulator& sim,
-                                          const ShardFaultEvent& event) {
-  (void)sim;
-  (void)event;
-  SQLB_CHECK(false,
-             "this driver does not implement shard failover; clear "
-             "SystemConfig::shard_faults or override OnShardFault");
-}
-
-ScenarioEngine::ScenarioEngine(const SystemConfig& config)
+ScenarioEngine::ScenarioEngine(const SystemConfig& config,
+                               std::size_t shard_lanes)
     : config_(config),
       population_(config.population, config.seed),
       rng_(config.seed ^ 0x5e5703a7ULL),
@@ -43,7 +25,9 @@ ScenarioEngine::ScenarioEngine(const SystemConfig& config)
       consumer_pick_rng_(rng_.Fork(12)),
       agent_store_(config.agent_pool),
       reputation_(config.population.num_providers, 0.0, 0.1),
-      response_window_(500) {
+      response_window_(500),
+      recorder_(std::make_unique<obs::FlightRecorder>(config.observability,
+                                                      shard_lanes)) {
   // One validated config path (runtime/scenario.h): drivers that surface
   // recoverable errors run ValidateSystemConfig via sqlb::Config::Validate()
   // before construction; reaching here with an invalid config is a
@@ -85,17 +69,6 @@ ScenarioEngine::ScenarioEngine(const SystemConfig& config)
   result_.duration = config_.duration;
   result_.initial_providers = providers_.size() - initial_holdouts_.size();
   result_.initial_consumers = consumers_.size();
-
-  // Mono default: one shard lane + the coordinator lane. The sharded
-  // driver re-creates the recorder with its shard count before building
-  // cores (ConfigureObservability).
-  recorder_ = std::make_unique<obs::FlightRecorder>(config_.observability, 1);
-}
-
-void ScenarioEngine::ConfigureObservability(std::size_t shard_lanes) {
-  SQLB_CHECK(!ran_, "ConfigureObservability must precede Run");
-  recorder_ =
-      std::make_unique<obs::FlightRecorder>(config_.observability, shard_lanes);
 }
 
 MediationCore::Shared ScenarioEngine::CoreSharedState() {

@@ -20,23 +20,24 @@
 #include "workload/population.h"
 
 /// \file
-/// The one scenario driver every tier shares. A Section-6 run is always the
+/// The one scenario loop every tier shares. A Section-6 run is always the
 /// same loop — populate the participant agents, pump Poisson query arrivals,
 /// sample the metric probes, apply the Section 6.3.2 departure rules, drain
-/// in-flight service — and only the middle of it differs between the
-/// mono-mediator (`runtime::MediationSystem`: allocate on the one core) and
-/// the sharded tier (`shard::ShardedMediationSystem`: route, maybe batch,
-/// maybe re-route, maybe run shard lanes on worker threads).
+/// in-flight service — and only the middle of it is a policy: the DES
+/// driver (`shard::ShardedMediationSystem`: route, maybe batch, maybe
+/// re-route, maybe run shard lanes on worker threads; the paper's
+/// mono-mediator is its one-shard configuration). The serving tier and its
+/// DES replay build their cores over the same engine state.
 ///
 /// ScenarioEngine owns the invariant part: the population, the agent
 /// vectors, every shared RNG stream (and its fork order, which is the
-/// bit-identity contract between the tiers), the arrival pump, the metric
-/// probes, the consumer-side departure rule and the RunResult sinks. The
-/// variable part is a ScenarioEngine::Driver — mediation, routing, batching
-/// and the execution substrate (serial kernel vs epoch-parallel lanes) are
-/// policies of the driver, not copies of the loop. Deleting the second
-/// driver loop is what keeps the two tiers comparable: a policy change
-/// cannot silently fork the scenario semantics anymore.
+/// bit-identity contract between shard counts, thread counts and the
+/// serving replay), the arrival pump, the metric probes, the consumer-side
+/// departure rule and the RunResult sinks. The variable part is a
+/// ScenarioEngine::Driver — mediation, routing, batching and the execution
+/// substrate (serial kernel vs epoch-parallel lanes) are policies of the
+/// driver, not copies of the loop, so a policy change cannot silently fork
+/// the scenario semantics.
 
 namespace sqlb::runtime {
 
@@ -53,8 +54,8 @@ enum class ChurnOutcome {
   /// sharing the strict-parity contract forbids (and the seal -> drain ->
   /// transfer handoff protocol exists to prevent). The engine re-fires the
   /// event every SystemConfig::churn_retry_interval until the drain
-  /// completes (or a later scheduled leave annuls the join). Applies
-  /// identically in the mono tier, which keeps M = 1 parity exact.
+  /// completes (or a later scheduled leave annuls the join). Applies at
+  /// every shard count, M = 1 included.
   kDeferred,
 };
 
@@ -83,11 +84,9 @@ class ScenarioEngine {
     /// redundant events, or a deferral for a join whose provider has not
     /// drained its previous life's queue yet — the engine retries those.
     /// Fired at an epoch barrier under parallel execution: membership
-    /// changes only while the lanes are quiescent and merged. The default
-    /// refuses churn so drivers that predate it fail loudly instead of
-    /// dropping events.
+    /// changes only while the lanes are quiescent and merged.
     virtual ChurnOutcome OnProviderChurn(des::Simulator& sim,
-                                         const ProviderChurnEvent& event);
+                                         const ProviderChurnEvent& event) = 0;
 
     /// One scheduled shard kill (SystemConfig::shard_faults). Fired at a
     /// kFailover barrier under parallel execution: the lanes are quiescent
@@ -97,34 +96,28 @@ class ScenarioEngine {
     /// re-issues the in-flight queries the crash lost (each re-issue also
     /// counts as issued, keeping completed + infeasible + reissued ==
     /// issued exact). Kills naming an already-dead shard are no-ops; the
-    /// driver never kills the last live shard. The default refuses faults
-    /// so drivers that predate failover fail loudly instead of dropping
-    /// kill events.
+    /// last live shard crashes and restarts in place from its snapshot.
     virtual void OnShardFault(des::Simulator& sim,
-                              const ShardFaultEvent& event);
+                              const ShardFaultEvent& event) = 0;
 
     /// Visits every still-active provider agent in the tier's metric
-    /// sampling order (the mono core's active list; shard order, then each
-    /// shard's active list, for the sharded tier — identical at M = 1).
+    /// sampling order (shard order, then each shard's active list).
     virtual void VisitActiveProviders(
         const std::function<void(ProviderAgent&)>& fn) = 0;
     virtual std::size_t ActiveProviderCount() const = 0;
 
     /// Appends tier-specific series samples after the shared keys (the
     /// sharded tier adds its shard.* load series here).
-    virtual void ExtendMetricsSample(SimTime now, des::SeriesSet& series) {
-      (void)now;
-      (void)series;
-    }
+    virtual void ExtendMetricsSample(SimTime now, des::SeriesSet& series) = 0;
 
-    /// Starts tier-specific periodic tasks (load-report gossip). Called
-    /// between the metric probe and the departure task, so the coordinator
-    /// event schedule of the pre-engine systems is reproduced exactly.
-    virtual void StartAuxiliaryTasks(des::Simulator& sim) { (void)sim; }
+    /// Starts tier-specific periodic tasks (load-report gossip, failover
+    /// snapshots). Called between the metric probe and the departure task,
+    /// which fixes the coordinator event order.
+    virtual void StartAuxiliaryTasks(des::Simulator& sim) = 0;
 
     /// True when the engine's periodic tasks (probe, departures) must be
     /// epoch barriers for RunUntilParallel (inert under serial execution).
-    virtual bool TasksAreBarriers() const { return false; }
+    virtual bool TasksAreBarriers() const = 0;
 
     /// The run loop itself: the default drains the shared kernel serially
     /// (RunUntil to the horizon, then RunAll for in-flight service); the
@@ -132,7 +125,9 @@ class ScenarioEngine {
     virtual void Execute(des::Simulator& sim, SimTime duration);
   };
 
-  explicit ScenarioEngine(const SystemConfig& config);
+  /// `shard_lanes` sizes the flight recorder: one lane per mediation core
+  /// plus the coordinator lane.
+  ScenarioEngine(const SystemConfig& config, std::size_t shard_lanes);
   ScenarioEngine(const ScenarioEngine&) = delete;
   ScenarioEngine& operator=(const ScenarioEngine&) = delete;
 
@@ -186,12 +181,9 @@ class ScenarioEngine {
   RunResult& result() { return result_; }
   WindowedMean& response_window() { return response_window_; }
 
-  /// The run's flight recorder. The engine constructs one for a single
-  /// shard lane plus the coordinator lane; the sharded driver calls
-  /// ConfigureObservability(M) from its constructor — before building its
-  /// cores, which capture lane pointers — to get one lane per shard.
+  /// The run's flight recorder: `shard_lanes` shard lanes plus the
+  /// coordinator lane.
   obs::FlightRecorder& recorder() { return *recorder_; }
-  void ConfigureObservability(std::size_t shard_lanes);
 
   /// The shared-state block a MediationCore needs, pointing into this
   /// engine. Drivers set the per-core fields (`effects`, `consumer_locks`)
@@ -206,7 +198,7 @@ class ScenarioEngine {
   /// per-lane chunk arenas when SystemConfig::agent_pool is enabled). The
   /// sharded driver calls ConfigureArenas(M) from its constructor — before
   /// any core allocates pooled chunks — to home each lane's chunks on its
-  /// own arena; the mono tier keeps the single default arena.
+  /// own arena.
   AgentStore& agent_store() { return agent_store_; }
   const AgentStore& agent_store() const { return agent_store_; }
 
@@ -227,7 +219,8 @@ class ScenarioEngine {
   des::Simulator sim_;
   // The shared stream and its forks, in the fork order every tier
   // reproduces (11: query classes, 12: consumer picks, 13: arrivals at
-  // Run) — the root of the M = 1 / mono bit-identity guarantee.
+  // Run) — the root of the serial == parallel and served == replayed
+  // bit-identity guarantees.
   Rng rng_;
   Rng query_class_rng_;
   Rng consumer_pick_rng_;

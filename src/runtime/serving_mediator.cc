@@ -86,7 +86,9 @@ ServingMediator::ServingMediator(const SystemConfig& config,
                                  MethodFactory factory)
     : config_(config),
       serving_(serving),
-      engine_(config),
+      // One flight-recorder lane per shard: cores capture their lane
+      // pointers at construction.
+      engine_(config, serving.shards),
       pages_(mem::PagePool::kDefaultPageBytes, 0),
       slab_(&pages_, des::MpscQueue<Intake>::ChunkBytes()) {
   SQLB_CHECK(serving_.shards >= 1, "serving needs at least one shard");
@@ -106,11 +108,8 @@ ServingMediator::ServingMediator(const SystemConfig& config,
   SQLB_CHECK(config_.shard_faults.empty(),
              "serving mode does not script shard faults");
 
-  // Cores capture per-lane recorder pointers, so the recorder must be
-  // shaped for `shards` lanes before any core exists. Likewise the agent
-  // arenas: each shard's providers are homed on that shard's arena, so two
-  // group threads never carve chunks from one pool concurrently.
-  engine_.ConfigureObservability(serving_.shards);
+  // Each shard's providers are homed on that shard's arena, so two group
+  // threads never carve chunks from one pool concurrently.
   engine_.agent_store().ConfigureArenas(serving_.shards);
 
   shards_per_group_ = serving_.shards / serving_.mediator_threads;
@@ -724,8 +723,7 @@ ServingReplayResult ReplayServingTrace(
   for (const ServingGroupSpan& span : spans) {
     SQLB_CHECK(span.first_shard + span.shard_count <= shards,
                "group span exceeds the shard count");
-    ScenarioEngine engine(config);
-    engine.ConfigureObservability(shards);
+    ScenarioEngine engine(config, shards);
     std::vector<std::vector<std::uint32_t>> members =
         PartitionProviders(engine, shards);
     obs::FlightRecorder& recorder = engine.recorder();

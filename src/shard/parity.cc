@@ -1,7 +1,5 @@
 #include "shard/parity.h"
 
-#include "common/status.h"
-
 namespace sqlb::shard {
 
 const char* ParityModeName(ParityMode mode) {
@@ -14,27 +12,28 @@ const char* ParityModeName(ParityMode mode) {
   return "?";
 }
 
-void ValidateParallelRun(ParityMode mode, const ParallelRunShape& shape) {
+Status ValidateParallelRun(ParityMode mode, const ParallelRunShape& shape) {
   // Couplings no parity mode can merge away.
-  SQLB_CHECK(!shape.reputation_feedback,
-             "parallel shard execution requires reputation_feedback off");
-  SQLB_CHECK(shape.num_shards == 1 || !shape.rerouting_enabled,
-             "parallel shard execution requires rerouting disabled");
-
-  switch (mode) {
-    case ParityMode::kStrict:
-      // Bit-identity needs state-disjoint lanes: one lane per consumer.
-      SQLB_CHECK(shape.num_shards == 1 ||
-                     shape.routing == RoutingPolicy::kLocality,
-                 "strict-parity parallel execution requires consumer-affine "
-                 "(kLocality) routing; use ParityMode::kRelaxed for "
-                 "load-aware policies");
-      break;
-    case ParityMode::kRelaxed:
-      // Any routing policy: cross-shard consumer access is serialized
-      // through the per-consumer sequence locks.
-      break;
+  if (shape.reputation_feedback) {
+    return Status::InvalidArgument(
+        "parallel shard execution requires reputation_feedback off");
   }
+  if (shape.num_shards > 1 && shape.rerouting_enabled) {
+    return Status::InvalidArgument(
+        "parallel shard execution requires rerouting disabled "
+        "(rerouting_enabled = false) at more than one shard");
+  }
+  // Strict bit-identity needs state-disjoint lanes: one lane per consumer.
+  // Relaxed parity admits any routing policy: cross-shard consumer access
+  // is serialized through the per-consumer sequence locks.
+  if (mode == ParityMode::kStrict && shape.num_shards > 1 &&
+      shape.routing != RoutingPolicy::kLocality) {
+    return Status::InvalidArgument(
+        "strict-parity parallel execution requires consumer-affine "
+        "(kLocality) routing; use ParityMode::kRelaxed for load-aware "
+        "policies");
+  }
+  return Status::OK();
 }
 
 bool ParallelRunNeedsConsumerLocks(ParityMode mode,

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 
+#include "common/status.h"
 #include "shard/shard_router.h"
 
 /// \file
@@ -56,10 +57,12 @@ struct ParallelRunShape {
   bool reputation_feedback = false;
 };
 
-/// Validates `shape` against `mode`'s contract; aborts (SQLB_CHECK) on a
-/// configuration the mode cannot execute correctly. Serial runs never call
-/// this — every configuration is serially executable.
-void ValidateParallelRun(ParityMode mode, const ParallelRunShape& shape);
+/// Validates `shape` against `mode`'s contract: OK, or InvalidArgument
+/// naming the coupling the mode cannot execute correctly. The one home of
+/// the rule — sqlb::Config::Validate() reports it, the sharded driver's
+/// Run() aborts on it. Serial runs never consult it: every configuration
+/// is serially executable.
+Status ValidateParallelRun(ParityMode mode, const ParallelRunShape& shape);
 
 /// True when a parallel run of this shape must route lane-side consumer
 /// access through a SeqLockTable: relaxed mode with more than one shard.

@@ -90,11 +90,11 @@ double ShardedRunResult::RouteImbalance() const {
 ShardedMediationSystem::ShardedMediationSystem(
     const ShardedSystemConfig& config, MethodFactory factory)
     : config_(config),
-      // The engine owns the shared streams and forks them in the
-      // mono-mediator's order, which is what makes an M = 1 run replay the
-      // mono system query for query. Everything shard-tier (ring hashing,
-      // network latency) draws from independent generators.
-      engine_(config.base),
+      // The engine owns the shared streams and forks them in one fixed
+      // order at every shard count. Everything shard-tier (ring hashing,
+      // network latency) draws from independent generators. One flight-
+      // recorder lane per shard plus the coordinator lane.
+      engine_(config.base, config.router.num_shards),
       router_(config.router),
       network_(engine_.sim(), config.gossip_latency,
                Rng(config.base.seed ^ 0x60551bULL)) {
@@ -115,9 +115,6 @@ ShardedMediationSystem::ShardedMediationSystem(
   }
 
   const std::size_t num_shards = config_.router.num_shards;
-  // One flight-recorder lane per shard plus the coordinator lane. Must
-  // precede core construction: the cores capture their lane pointers.
-  engine_.ConfigureObservability(num_shards);
   obs::FlightRecorder& recorder = engine_.recorder();
   const std::size_t coord = recorder.coordinator_lane();
   coord_trace_ = recorder.trace_lane(coord);
@@ -195,7 +192,8 @@ ShardedMediationSystem::ShardedMediationSystem(
       lane_sims_.push_back(std::make_unique<des::Simulator>());
     }
     effect_logs_.resize(num_shards);
-    if (ParallelRunNeedsConsumerLocks(config_.parity, RunShape())) {
+    if (ParallelRunNeedsConsumerLocks(config_.parity,
+                                      ParallelShapeOf(config_))) {
       consumer_locks_ =
           std::make_unique<des::SeqLockTable>(engine_.consumers().size());
     }
@@ -262,12 +260,12 @@ ShardedMediationSystem::ShardedMediationSystem(
 
 ShardedMediationSystem::~ShardedMediationSystem() = default;
 
-ParallelRunShape ShardedMediationSystem::RunShape() const {
+ParallelRunShape ParallelShapeOf(const ShardedSystemConfig& config) {
   ParallelRunShape shape;
-  shape.num_shards = config_.router.num_shards;
-  shape.routing = config_.router.policy;
-  shape.rerouting_enabled = config_.rerouting_enabled;
-  shape.reputation_feedback = config_.base.reputation_feedback;
+  shape.num_shards = config.router.num_shards;
+  shape.routing = config.router.policy;
+  shape.rerouting_enabled = config.rerouting_enabled;
+  shape.reputation_feedback = config.base.reputation_feedback;
   return shape;
 }
 
@@ -279,7 +277,9 @@ ShardedRunResult ShardedMediationSystem::Run() {
   // strict demands state-disjoint lanes, relaxed swaps that for the
   // per-consumer sequence locks (shard/parity.h).
   if (parallel_) {
-    ValidateParallelRun(config_.parity, RunShape());
+    const Status admitted =
+        ValidateParallelRun(config_.parity, ParallelShapeOf(config_));
+    SQLB_CHECK(admitted.ok(), admitted.message().c_str());
   }
 
   result_.run = engine_.Run(*this);
@@ -485,7 +485,7 @@ void ShardedMediationSystem::RouteWalk(des::Simulator& sim, const Query& query,
         // The method saw the full candidate set and refused (strict
         // economic broker). That mediation round happened — providers and
         // the consumer recorded it — so replaying the query on another
-        // shard would double-count; the mono system treats it the same.
+        // shard would double-count.
         ++engine_.result().queries_infeasible;
         return;
       case runtime::MediationCore::Outcome::kNoCandidates:
@@ -843,8 +843,8 @@ void ShardedMediationSystem::SendLoadReports(des::Simulator& sim) {
 
 void ShardedMediationSystem::VisitActiveProviders(
     const std::function<void(runtime::ProviderAgent&)>& fn) {
-  // Shard order, then each shard's active list: at M = 1 this is exactly
-  // the mono-mediator's iteration order, which the parity pins rely on.
+  // Shard order, then each shard's active list: the sampling order the
+  // serial == parallel pins rely on.
   std::vector<runtime::ProviderAgent>& providers = engine_.providers();
   for (const auto& core : cores_) {
     for (std::uint32_t index : core->active_providers()) {
@@ -862,7 +862,7 @@ std::size_t ShardedMediationSystem::ActiveProviderCount() const {
 void ShardedMediationSystem::ExtendMetricsSample(SimTime now,
                                                  des::SeriesSet& series) {
   // The shard-tier view: per-shard load and membership, appended after the
-  // engine's mono-compatible keys.
+  // engine's tier-independent keys.
   for (std::size_t shard = 0; shard < cores_.size(); ++shard) {
     series.Add(kSeriesShardUtPrefix + std::to_string(shard), now,
                cores_[shard]->MeanCommittedUtilization(now));
@@ -1151,7 +1151,7 @@ void ShardedMediationSystem::OnShardFault(
   if (router_.IsShardDead(dead)) return;  // killing the dead twice: no-op
   if (router_.live_shard_count() == 1) {
     // No survivor to fail over to (M = 1, or every sibling already died):
-    // the mediator crashes and restarts in place — the mono semantics.
+    // the mediator crashes and restarts in place.
     RestartShard(sim, dead);
     return;
   }

@@ -36,15 +36,15 @@
 /// the saturation bound) are re-routed to the next shard instead of being
 /// dropped.
 ///
-/// With M = 1 the tier reduces to the mono-mediator `MediationSystem` —
-/// same engine, same pipeline code — and reproduces its RunResult
-/// bit-for-bit, which tests/shard/sharded_mediation_test.cc pins.
+/// With M = 1 the tier is the paper's mono-mediator: sqlb::Service's
+/// Mode::kMono runs exactly this driver at its ShardedSystemConfig defaults
+/// (one shard, serial, unbatched).
 
 namespace sqlb::shard {
 
 struct ShardedSystemConfig {
   /// The scenario itself: population, workload, durations, agent configs,
-  /// departure rules — identical in meaning to the mono-mediator run.
+  /// departure rules — identical in meaning at every shard count.
   runtime::SystemConfig base;
   /// Shard count, routing policy, ring geometry, staleness bound.
   RouterConfig router;
@@ -92,7 +92,8 @@ struct ShardedSystemConfig {
   /// (gossip/probe/departure events), and the cross-shard sinks are merged
   /// deterministically at each barrier. Which configurations a parallel
   /// run admits — and how far it may diverge from its serial twin — is the
-  /// parity policy below (shard/parity.h), validated at Run().
+  /// parity policy below (shard/parity.h), checked by
+  /// sqlb::Config::Validate() and enforced at Run().
   std::size_t worker_threads = 0;
 
   /// What a parallel run promises relative to serial (shard/parity.h):
@@ -172,7 +173,7 @@ struct ShardStats {
   std::uint64_t providers_out = 0;
 };
 
-/// Everything a sharded run produces: the mono-compatible RunResult
+/// Everything a sharded run produces: the tier-independent RunResult
 /// (counters, response times, departures, aggregated series) plus the
 /// shard-tier view.
 struct ShardedRunResult {
@@ -268,9 +269,11 @@ struct ShardedRunResult {
   double RouteImbalance() const;
 };
 
+/// The parity policy's view of `config` (shard/parity.h).
+ParallelRunShape ParallelShapeOf(const ShardedSystemConfig& config);
+
 /// M mediators + router + gossip + one allocation method per shard = one
-/// run. Mirrors `runtime::MediationSystem`'s lifecycle: construct, Run()
-/// once, read the result.
+/// run: construct, Run() once, read the result.
 class ShardedMediationSystem : private runtime::ScenarioEngine::Driver {
  public:
   /// Fresh method instance per shard (methods are stateful; shards must not
@@ -285,7 +288,7 @@ class ShardedMediationSystem : private runtime::ScenarioEngine::Driver {
   /// Executes the full scenario and returns the result. Call once.
   ShardedRunResult Run();
 
-  // --- Extra series keys (per-shard load, on top of the mono keys) --------
+  // --- Extra series keys (per-shard load, on top of the engine's keys) ----
   /// Per-shard mean committed utilization; the shard index is appended
   /// ("shard.ut.0", "shard.ut.1", ...).
   static constexpr const char* kSeriesShardUtPrefix = "shard.ut.";
@@ -351,8 +354,6 @@ class ShardedMediationSystem : private runtime::ScenarioEngine::Driver {
   /// address is forwarded one hop up the current tree (or to the router
   /// when `shard` is the root); dropped and counted when `shard` is dead.
   void RelayLoadReport(std::uint32_t shard, const msg::Message& message);
-  /// The parity policy's view of this run's configuration.
-  ParallelRunShape RunShape() const;
 
   // --- Re-partitioning protocol --------------------------------------------
   /// One rebalance barrier: reconcile ownership with the ring, reweight the
@@ -381,7 +382,7 @@ class ShardedMediationSystem : private runtime::ScenarioEngine::Driver {
   /// The crash-and-restart path of a shard with no survivor to fail over
   /// to (the last live shard, M = 1 included): crash the core, restore the
   /// last snapshot onto it, re-admit post-snapshot members fresh, re-issue
-  /// what the crash lost. Mirrors MediationSystem's mono restart exactly.
+  /// what the crash lost.
   void RestartShard(des::Simulator& sim, std::uint32_t shard);
   /// Adopts every dead-shard provider whose agent has drained its in-flight
   /// work (snapshot baselines when present, fresh otherwise); the rest stay

@@ -4,8 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "runtime/mediation_system.h"
-
 namespace sqlb {
 
 namespace {
@@ -44,6 +42,20 @@ Status ValidateBatching(const char* tier, double batch_window,
   return Status::OK();
 }
 
+/// Every scripted kill must name one of the mode's `num_shards` shards.
+Status ValidateFaultShards(const char* mode, std::size_t num_shards,
+                           const runtime::FaultSchedule& faults) {
+  for (const runtime::ShardFaultEvent& event : faults.events) {
+    if (event.shard >= num_shards) {
+      return Status::InvalidArgument(
+          std::string(mode) + " config: SystemConfig::shard_faults kills " +
+          "shard " + std::to_string(event.shard) + ", but the mode runs " +
+          std::to_string(num_shards) + " shard(s)");
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Status Config::Validate() const {
@@ -52,6 +64,8 @@ Status Config::Validate() const {
 
   switch (mode) {
     case Mode::kMono:
+      status = ValidateFaultShards("mono", 1, scenario().shard_faults);
+      if (!status.ok()) return status;
       break;
 
     case Mode::kSharded: {
@@ -77,6 +91,14 @@ Status Config::Validate() const {
       status = ValidateBatching("sharded", sharded.batch_window,
                                 sharded.adaptive_batch);
       if (!status.ok()) return status;
+      status = ValidateFaultShards("sharded", sharded.router.num_shards,
+                                   scenario().shard_faults);
+      if (!status.ok()) return status;
+      if (sharded.worker_threads > 0) {
+        status = shard::ValidateParallelRun(sharded.parity,
+                                            shard::ParallelShapeOf(sharded));
+        if (!status.ok()) return status;
+      }
       break;
     }
 
@@ -162,7 +184,7 @@ Service::Service(Config config, MethodFactory factory)
     : config_(std::move(config)), factory_(std::move(factory)) {
   switch (config_.mode) {
     case Mode::kMono:
-      // Built in Run(): the mono driver is construct-run-destroy.
+      // Built in Run(), so Create() under kMono only validates.
       break;
     case Mode::kSharded:
       sharded_ = std::make_unique<shard::ShardedMediationSystem>(
@@ -183,23 +205,14 @@ shard::ShardedRunResult Service::Run() {
              "Start/Submit/Drain/Stop");
   SQLB_CHECK(!ran_, "Run() may only be called once");
   ran_ = true;
-  if (config_.mode == Mode::kSharded) {
-    return sharded_->Run();
+  if (config_.mode == Mode::kMono) {
+    // The paper's mono-mediator: the sharded driver at its defaults (one
+    // shard, serial, unbatched) over the scenario.
+    shard::ShardedSystemConfig mono;
+    mono.base = config_.scenario();
+    sharded_ = std::make_unique<shard::ShardedMediationSystem>(mono, factory_);
   }
-  // Mono: run the classic driver and present its result in the sharded
-  // shape (one synthetic shard entry), so callers read one result type.
-  std::unique_ptr<AllocationMethod> method = factory_(0);
-  SQLB_CHECK(method != nullptr, "method factory returned null");
-  shard::ShardedRunResult result;
-  result.run = runtime::RunScenario(config_.scenario(), method.get());
-  shard::ShardStats stats;
-  stats.initial_providers = result.run.initial_providers;
-  stats.remaining_providers = result.run.remaining_providers;
-  stats.routed = result.run.queries_issued;
-  stats.allocated =
-      result.run.queries_issued - result.run.queries_infeasible;
-  result.shards.push_back(stats);
-  return result;
+  return sharded_->Run();
 }
 
 runtime::ServingProducer* Service::RegisterProducer() {

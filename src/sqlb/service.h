@@ -12,12 +12,12 @@
 #include "shard/sharded_mediation_system.h"
 
 /// \file
-/// The one public facade over the three mediation drivers. Everything an
+/// The one public facade over the two mediation drivers. Everything an
 /// application needs is here: pick a Mode, fill a Config, Create() a
 /// Service, and either Run() the scenario to completion (simulation modes)
 /// or Start()/Submit()/Drain()/Stop() it (serving mode). Examples and
 /// benches construct systems through this header; the driver classes behind
-/// it (runtime::MediationSystem, shard::ShardedMediationSystem,
+/// it (shard::ShardedMediationSystem for both simulation modes,
 /// runtime::ServingMediator) stay public for tests and for callers that
 /// need driver-specific introspection.
 ///
@@ -31,7 +31,9 @@ namespace sqlb {
 
 /// Which driver a Service wraps.
 enum class Mode {
-  /// One mediator, the paper's Section 6 setup (runtime/mediation_system.h).
+  /// One mediator, the paper's Section 6 setup: the sharded DES driver at
+  /// its ShardedSystemConfig defaults (one shard, serial, unbatched) over
+  /// `Config::scenario()`. Every other `Config::sharded` field is ignored.
   kMono,
   /// M mediators over a consistent-hash provider partition, DES-pumped
   /// (shard/sharded_mediation_system.h).
@@ -43,7 +45,7 @@ enum class Mode {
 
 /// Everything any mode needs. `sharded.base` is the scenario itself
 /// (population, workload, agents, seed) and is the part every mode reads;
-/// the rest of `sharded` applies to kSharded, `serving` to kServing.
+/// the rest of `sharded` applies to kSharded only, `serving` to kServing.
 struct Config {
   Mode mode = Mode::kMono;
   shard::ShardedSystemConfig sharded;
@@ -61,13 +63,14 @@ struct Config {
 /// A configured mediation service. Create() -> (Run() | serving lifecycle).
 class Service {
  public:
-  /// Fresh method instance per shard (mono calls it once with shard 0).
+  /// Fresh method instance per shard (kMono calls it once, with shard 0).
   using MethodFactory =
       std::function<std::unique_ptr<AllocationMethod>(std::uint32_t shard)>;
 
-  /// Validates `config` and builds the mode's driver. On an invalid config:
-  /// stores the error in `*status` and returns nullptr when `status` is
-  /// given, aborts with the validation message otherwise.
+  /// Validates `config` and builds the mode's driver (kMono defers that to
+  /// Run()). On an invalid config: stores the error in `*status` and
+  /// returns nullptr when `status` is given, aborts with the validation
+  /// message otherwise.
   static std::unique_ptr<Service> Create(const Config& config,
                                          MethodFactory factory,
                                          Status* status = nullptr);
@@ -79,9 +82,16 @@ class Service {
   // --- Simulation modes (kMono, kSharded) ----------------------------------
 
   /// Executes the configured scenario to completion and returns the result.
-  /// Call once. A kMono run fills the mono-compatible `run` member and one
-  /// synthetic shard entry, so callers read one result shape in both modes.
+  /// Call once. Both modes run the sharded DES driver, so a kMono result is
+  /// a one-shard ShardedRunResult.
   shard::ShardedRunResult Run();
+
+  /// The simulation modes' driver, for read-only introspection (e.g. a
+  /// shard's core membership after the run). Null in serving mode, and in
+  /// kMono until Run() builds it.
+  const shard::ShardedMediationSystem* sharded_system() const {
+    return sharded_.get();
+  }
 
   // --- Serving mode (kServing) ---------------------------------------------
 
@@ -123,7 +133,8 @@ class Service {
 
   Config config_;
   MethodFactory factory_;
-  /// Exactly one of these is live, per mode.
+  /// At most one of these is live: `sharded_` for the simulation modes
+  /// (built by Run() under kMono), `serving_` for kServing.
   std::unique_ptr<shard::ShardedMediationSystem> sharded_;
   std::unique_ptr<runtime::ServingMediator> serving_;
   bool ran_ = false;

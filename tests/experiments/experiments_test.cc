@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "runtime/scenario_engine.h"
+
 namespace sqlb::experiments {
 namespace {
 
@@ -70,7 +72,7 @@ TEST(QualityRampTest, OneResultPerMethodWithSeries) {
   EXPECT_GT(results[0].run.queries_issued, 0u);
   EXPECT_FALSE(results[0].run.series.empty());
   EXPECT_NE(results[0].run.series.Find(
-                runtime::MediationSystem::kSeriesProvSatIntMean),
+                runtime::ScenarioEngine::kSeriesProvSatIntMean),
             nullptr);
 }
 

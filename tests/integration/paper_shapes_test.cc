@@ -8,13 +8,13 @@
 #include <cmath>
 
 #include "experiments/experiments.h"
-#include "runtime/mediation_system.h"
+#include "runtime/scenario_engine.h"
 
 namespace sqlb {
 namespace {
 
 using experiments::MethodKind;
-using runtime::MediationSystem;
+using runtime::ScenarioEngine;
 
 /// Reduced Table 2 with the paper's provider-to-traffic sparsity.
 runtime::SystemConfig ShapeConfig(std::uint64_t seed) {
@@ -62,9 +62,9 @@ runtime::RunResult* PaperShapesTest::capacity_ = nullptr;
 TEST_F(PaperShapesTest, ProviderIntentionSatisfactionOrdering) {
   // Figure 4(a): SQLB satisfies providers' intentions best.
   const double sqlb =
-      SeriesMean(*sqlb_, MediationSystem::kSeriesProvSatIntMean);
+      SeriesMean(*sqlb_, ScenarioEngine::kSeriesProvSatIntMean);
   const double capacity =
-      SeriesMean(*capacity_, MediationSystem::kSeriesProvSatIntMean);
+      SeriesMean(*capacity_, ScenarioEngine::kSeriesProvSatIntMean);
   EXPECT_GT(sqlb, capacity + 0.03);
 }
 
@@ -72,11 +72,11 @@ TEST_F(PaperShapesTest, PreferenceSatisfactionSqlbMatchesMariposa) {
   // Figure 4(b): on raw preferences SQLB ~ Mariposa-like, both above
   // Capacity based.
   const double sqlb =
-      SeriesMean(*sqlb_, MediationSystem::kSeriesProvSatPrefMean);
+      SeriesMean(*sqlb_, ScenarioEngine::kSeriesProvSatPrefMean);
   const double mariposa =
-      SeriesMean(*mariposa_, MediationSystem::kSeriesProvSatPrefMean);
+      SeriesMean(*mariposa_, ScenarioEngine::kSeriesProvSatPrefMean);
   const double capacity =
-      SeriesMean(*capacity_, MediationSystem::kSeriesProvSatPrefMean);
+      SeriesMean(*capacity_, ScenarioEngine::kSeriesProvSatPrefMean);
   EXPECT_GT(sqlb, capacity + 0.03);
   EXPECT_GT(mariposa, capacity + 0.03);
   EXPECT_NEAR(sqlb, mariposa, 0.15);
@@ -85,11 +85,11 @@ TEST_F(PaperShapesTest, PreferenceSatisfactionSqlbMatchesMariposa) {
 TEST_F(PaperShapesTest, OnlySqlbSatisfiesConsumers) {
   // Figure 4(e): mu(das, C) > 1 only under SQLB.
   const double sqlb =
-      SeriesMean(*sqlb_, MediationSystem::kSeriesConsAllocSatMean);
+      SeriesMean(*sqlb_, ScenarioEngine::kSeriesConsAllocSatMean);
   const double mariposa =
-      SeriesMean(*mariposa_, MediationSystem::kSeriesConsAllocSatMean);
+      SeriesMean(*mariposa_, ScenarioEngine::kSeriesConsAllocSatMean);
   const double capacity =
-      SeriesMean(*capacity_, MediationSystem::kSeriesConsAllocSatMean);
+      SeriesMean(*capacity_, ScenarioEngine::kSeriesConsAllocSatMean);
   EXPECT_GT(sqlb, 1.1);
   EXPECT_NEAR(mariposa, 1.0, 0.1);
   EXPECT_NEAR(capacity, 1.0, 0.1);
@@ -101,11 +101,11 @@ TEST_F(PaperShapesTest, CapacityBasedBalancesBest) {
   // the paper too — SQLB is the least fair under 40% load and catches up
   // as the workload grows — so no strict ordering is asserted between
   // them at a single workload.)
-  const double sqlb = SeriesMean(*sqlb_, MediationSystem::kSeriesUtFair);
+  const double sqlb = SeriesMean(*sqlb_, ScenarioEngine::kSeriesUtFair);
   const double mariposa =
-      SeriesMean(*mariposa_, MediationSystem::kSeriesUtFair);
+      SeriesMean(*mariposa_, ScenarioEngine::kSeriesUtFair);
   const double capacity =
-      SeriesMean(*capacity_, MediationSystem::kSeriesUtFair);
+      SeriesMean(*capacity_, ScenarioEngine::kSeriesUtFair);
   EXPECT_GT(capacity, sqlb + 0.05);
   EXPECT_GT(capacity, mariposa + 0.05);
 }

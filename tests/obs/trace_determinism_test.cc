@@ -9,9 +9,9 @@
 #include "core/sqlb_method.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "runtime/mediation_system.h"
 #include "shard/shard_router.h"
 #include "shard/sharded_mediation_system.h"
+#include "sqlb/service.h"
 
 /// \file
 /// The flight-recorder determinism contract, end to end:
@@ -62,6 +62,14 @@ ShardedSystemConfig TracedConfig(const SystemConfig& base,
 
 ShardedMediationSystem::MethodFactory SqlbFactory() {
   return [](std::uint32_t) { return std::make_unique<SqlbMethod>(); };
+}
+
+/// `base` through sqlb::Service's Mode::kMono (the paper's mono-mediator).
+RunResult RunMono(const SystemConfig& base) {
+  sqlb::Config config;
+  config.mode = Mode::kMono;
+  config.scenario() = base;
+  return Service::Create(config, SqlbFactory())->Run().run;
 }
 
 void ExpectIdenticalSpanStreams(const std::vector<obs::TraceSpan>& a,
@@ -219,17 +227,12 @@ TEST(ObservabilityTransparencyTest, TracingNeverPerturbsTheShardedRun) {
 
 TEST(ObservabilityTransparencyTest, TracingNeverPerturbsTheMonoMediator) {
   SystemConfig base = SmallConfig(0.7);
-
-  SqlbMethod off_method;
-  runtime::MediationSystem off_system(base, &off_method);
-  const RunResult off_result = off_system.Run();
+  const RunResult off_result = RunMono(base);
 
   SystemConfig traced = base;
   traced.observability.trace = true;
   traced.observability.trace_sample_every = 1;
-  SqlbMethod on_method;
-  runtime::MediationSystem on_system(traced, &on_method);
-  const RunResult on_result = on_system.Run();
+  const RunResult on_result = RunMono(traced);
 
   ExpectSameSimulation(off_result, on_result);
   ASSERT_GT(on_result.trace_spans.size(), 0u);
@@ -238,16 +241,13 @@ TEST(ObservabilityTransparencyTest, TracingNeverPerturbsTheMonoMediator) {
 
 TEST(ObservabilityTransparencyTest,
      MonoAndM1ShardedTracedRunsAgreeOnQuerySpans) {
-  // The M=1 sharded tier must tell the same per-query story the
-  // mono-mediator tells: same span multiset for the mediation-core kinds
-  // (the sharded tier adds its own batch/route/gossip spans on top).
+  // The strict-parity M=1 shape (consumer-affine routing, no rerouting)
+  // must tell the same per-query story Mode::kMono's hash-routed shard
+  // tells: same span multiset for the mediation-core kinds.
   SystemConfig base = SmallConfig(0.7);
   base.observability.trace = true;
   base.observability.trace_sample_every = 1;
-
-  SqlbMethod mono_method;
-  runtime::MediationSystem mono(base, &mono_method);
-  const RunResult mono_result = mono.Run();
+  const RunResult mono_result = RunMono(base);
 
   ShardedSystemConfig sharded = TracedConfig(SmallConfig(0.7), 1);
   const ShardedRunResult sharded_result =

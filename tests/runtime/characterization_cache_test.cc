@@ -5,7 +5,6 @@
 
 #include "core/sqlb_method.h"
 #include "runtime/mediation_core.h"
-#include "runtime/mediation_system.h"
 
 /// \file
 /// Unit pins for the event-driven characterization cache

@@ -1,12 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <optional>
 #include <vector>
 
 #include "core/sqlb_method.h"
 #include "runtime/mediation_core.h"
-#include "runtime/mediation_system.h"
+#include "sqlb/service.h"
 
 /// \file
 /// Unit pins for the MediationCore membership lifecycle and its crash /
@@ -20,6 +21,16 @@
 
 namespace sqlb::runtime {
 namespace {
+
+/// A Mode::kMono service over `scenario` with one SQLB method.
+std::unique_ptr<Service> MonoService(const SystemConfig& scenario) {
+  sqlb::Config config;
+  config.mode = Mode::kMono;
+  config.scenario() = scenario;
+  return Service::Create(config, [](std::uint32_t) {
+    return std::make_unique<SqlbMethod>();
+  });
+}
 
 struct Fixture {
   explicit Fixture(std::size_t n_providers = 16) {
@@ -265,9 +276,8 @@ TEST(ChurnScheduleEdgeTest, ScheduledLeaveAnnulsDeferredRejoin) {
   config.provider_churn.events.push_back({150.5, /*join=*/true, 0});
   config.provider_churn.events.push_back({151.0, /*join=*/false, 0});
 
-  SqlbMethod method;
-  MediationSystem system(config, &method);
-  const RunResult result = system.Run();
+  std::unique_ptr<Service> service = MonoService(config);
+  const RunResult result = service->Run().run;
 
   // The join never applied: the annulment erased it while the provider was
   // still draining, and the second leave itself was a no-op on a
@@ -275,7 +285,7 @@ TEST(ChurnScheduleEdgeTest, ScheduledLeaveAnnulsDeferredRejoin) {
   EXPECT_EQ(result.provider_joins, 0u);
   EXPECT_EQ(result.tally.ByReason(DepartureReason::kChurn), 1u);
   EXPECT_EQ(result.remaining_providers, 39u);
-  EXPECT_FALSE(system.core().IsMember(0));
+  EXPECT_FALSE(service->sharded_system()->core(0).IsMember(0));
   // Nothing double-counts: the drained work still completed.
   EXPECT_EQ(result.queries_issued,
             result.queries_completed + result.queries_infeasible);
@@ -294,13 +304,12 @@ TEST(ChurnScheduleEdgeTest, DeferredRejoinAppliesOnceDrained) {
   config.provider_churn.events.push_back({150.0, /*join=*/false, 0});
   config.provider_churn.events.push_back({150.5, /*join=*/true, 0});
 
-  SqlbMethod method;
-  MediationSystem system(config, &method);
-  const RunResult result = system.Run();
+  std::unique_ptr<Service> service = MonoService(config);
+  const RunResult result = service->Run().run;
 
   EXPECT_EQ(result.provider_joins, 1u);
   EXPECT_EQ(result.remaining_providers, 40u);
-  EXPECT_TRUE(system.core().IsMember(0));
+  EXPECT_TRUE(service->sharded_system()->core(0).IsMember(0));
 }
 
 }  // namespace

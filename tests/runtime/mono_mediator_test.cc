@@ -1,15 +1,42 @@
-#include "runtime/mediation_system.h"
-
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "core/sqlb_method.h"
 #include "methods/capacity_based.h"
 #include "methods/mariposa.h"
+#include "runtime/scenario_engine.h"
+#include "sqlb/service.h"
+
+/// \file
+/// The paper's mono-mediator (Section 6.1) as applications run it:
+/// sqlb::Service in Mode::kMono, one Algorithm-1 pipeline over the whole
+/// provider population.
 
 namespace sqlb::runtime {
 namespace {
+
+sqlb::Config MonoConfig(const SystemConfig& scenario) {
+  sqlb::Config config;
+  config.mode = Mode::kMono;
+  config.scenario() = scenario;
+  return config;
+}
+
+/// A mono service whose single method instance is a fresh `Method`.
+template <typename Method>
+std::unique_ptr<Service> MonoService(const SystemConfig& scenario) {
+  return Service::Create(MonoConfig(scenario), [](std::uint32_t) {
+    return std::make_unique<Method>();
+  });
+}
+
+template <typename Method>
+RunResult RunMono(const SystemConfig& scenario) {
+  return MonoService<Method>(scenario)->Run().run;
+}
 
 /// A scaled-down Table 2 setup that runs in milliseconds.
 SystemConfig SmallConfig(double workload, std::uint64_t seed = 42) {
@@ -38,9 +65,8 @@ TEST(WorkloadSpecTest, ConstantAndRamp) {
   EXPECT_DOUBLE_EQ(ramp.MaxFraction(), 1.0);
 }
 
-TEST(MediationSystemTest, EveryIssuedQueryCompletesWhenCaptive) {
-  SqlbMethod method;
-  RunResult result = RunScenario(SmallConfig(0.5), &method);
+TEST(MonoMediatorTest, EveryIssuedQueryCompletesWhenCaptive) {
+  RunResult result = RunMono<SqlbMethod>(SmallConfig(0.5));
   EXPECT_GT(result.queries_issued, 100u);
   EXPECT_EQ(result.queries_infeasible, 0u);
   // The run drains outstanding service, so conservation is exact.
@@ -48,43 +74,39 @@ TEST(MediationSystemTest, EveryIssuedQueryCompletesWhenCaptive) {
   EXPECT_EQ(result.method_name, "SQLB");
 }
 
-TEST(MediationSystemTest, DeterministicForFixedSeed) {
-  SqlbMethod m1, m2;
-  RunResult a = RunScenario(SmallConfig(0.6, 7), &m1);
-  RunResult b = RunScenario(SmallConfig(0.6, 7), &m2);
+TEST(MonoMediatorTest, DeterministicForFixedSeed) {
+  RunResult a = RunMono<SqlbMethod>(SmallConfig(0.6, 7));
+  RunResult b = RunMono<SqlbMethod>(SmallConfig(0.6, 7));
   EXPECT_EQ(a.queries_issued, b.queries_issued);
   EXPECT_EQ(a.queries_completed, b.queries_completed);
   EXPECT_DOUBLE_EQ(a.response_time.mean(), b.response_time.mean());
 }
 
-TEST(MediationSystemTest, DifferentSeedsProduceDifferentTraffic) {
-  SqlbMethod m1, m2;
-  RunResult a = RunScenario(SmallConfig(0.6, 1), &m1);
-  RunResult b = RunScenario(SmallConfig(0.6, 2), &m2);
+TEST(MonoMediatorTest, DifferentSeedsProduceDifferentTraffic) {
+  RunResult a = RunMono<SqlbMethod>(SmallConfig(0.6, 1));
+  RunResult b = RunMono<SqlbMethod>(SmallConfig(0.6, 2));
   EXPECT_NE(a.queries_issued, b.queries_issued);
 }
 
-TEST(MediationSystemTest, ResponseTimesAreAtLeastServiceTime) {
-  CapacityBasedMethod method;
-  RunResult result = RunScenario(SmallConfig(0.4), &method);
+TEST(MonoMediatorTest, ResponseTimesAreAtLeastServiceTime) {
+  RunResult result = RunMono<CapacityBasedMethod>(SmallConfig(0.4));
   // The fastest possible response is a 130-unit query on a high-capacity
   // provider: 1.3 seconds.
   EXPECT_GE(result.response_time_all.min(), 1.3 - 1e-9);
 }
 
-TEST(MediationSystemTest, ArrivalCountTracksWorkload) {
+TEST(MonoMediatorTest, ArrivalCountTracksWorkload) {
   // lambda = fraction * total_capacity / mean_units; with the small
   // population total capacity = 4 * 100/7 + 24 * 100/3 + 12 * 100.
-  SqlbMethod method;
   const double workload = 0.5;
-  RunResult result = RunScenario(SmallConfig(workload, 3), &method);
+  RunResult result = RunMono<SqlbMethod>(SmallConfig(workload, 3));
   const double capacity = 4 * (100.0 / 7.0) + 24 * (100.0 / 3.0) + 1200.0;
   const double expected = workload * capacity / 140.0 * 300.0;
   EXPECT_NEAR(static_cast<double>(result.queries_issued), expected,
               4.0 * std::sqrt(expected));
 }
 
-TEST(MediationSystemTest, SqlbSatisfiesConsumersBaselinesAreNeutral) {
+TEST(MonoMediatorTest, SqlbSatisfiesConsumersBaselinesAreNeutral) {
   // The Figure 4(e) shape: mu(delta_as, C) > 1 under SQLB, ~ 1 under the
   // baselines. Averaged over seeds: with only 40 providers a single draw
   // can correlate capacity and interest classes by chance.
@@ -92,14 +114,12 @@ TEST(MediationSystemTest, SqlbSatisfiesConsumersBaselinesAreNeutral) {
   double capacity_allocsat = 0.0;
   const std::uint64_t seeds[] = {42, 43, 44};
   for (std::uint64_t seed : seeds) {
-    SqlbMethod sqlb;
-    RunResult s = RunScenario(SmallConfig(0.5, seed), &sqlb);
-    sqlb_allocsat += s.series.Find(MediationSystem::kSeriesConsAllocSatMean)
+    RunResult s = RunMono<SqlbMethod>(SmallConfig(0.5, seed));
+    sqlb_allocsat += s.series.Find(ScenarioEngine::kSeriesConsAllocSatMean)
                          ->MeanOver(100.0, 300.0);
-    CapacityBasedMethod capacity;
-    RunResult c = RunScenario(SmallConfig(0.5, seed), &capacity);
+    RunResult c = RunMono<CapacityBasedMethod>(SmallConfig(0.5, seed));
     capacity_allocsat +=
-        c.series.Find(MediationSystem::kSeriesConsAllocSatMean)
+        c.series.Find(ScenarioEngine::kSeriesConsAllocSatMean)
             ->MeanOver(100.0, 300.0);
   }
   sqlb_allocsat /= 3.0;
@@ -109,25 +129,23 @@ TEST(MediationSystemTest, SqlbSatisfiesConsumersBaselinesAreNeutral) {
   EXPECT_GT(sqlb_allocsat, capacity_allocsat + 0.1);
 }
 
-TEST(MediationSystemTest, CapacityBasedTracksWorkloadUtilization) {
+TEST(MonoMediatorTest, CapacityBasedTracksWorkloadUtilization) {
   // DESIGN.md fidelity decision 1: under proportional balancing the mean
   // utilization approaches the workload fraction.
-  CapacityBasedMethod method;
-  RunResult result = RunScenario(SmallConfig(0.6), &method);
-  const double ut_mean = result.series.Find(MediationSystem::kSeriesUtMean)
+  RunResult result = RunMono<CapacityBasedMethod>(SmallConfig(0.6));
+  const double ut_mean = result.series.Find(ScenarioEngine::kSeriesUtMean)
                              ->MeanOver(100.0, 300.0);
   EXPECT_NEAR(ut_mean, 0.6, 0.12);
 }
 
-TEST(MediationSystemTest, SeriesAreSampledAndBounded) {
-  SqlbMethod method;
-  RunResult result = RunScenario(SmallConfig(0.5), &method);
+TEST(MonoMediatorTest, SeriesAreSampledAndBounded) {
+  RunResult result = RunMono<SqlbMethod>(SmallConfig(0.5));
   for (const char* key :
-       {MediationSystem::kSeriesProvSatIntMean,
-        MediationSystem::kSeriesProvSatPrefMean,
-        MediationSystem::kSeriesConsSatMean,
-        MediationSystem::kSeriesProvSatIntFair,
-        MediationSystem::kSeriesConsSatFair}) {
+       {ScenarioEngine::kSeriesProvSatIntMean,
+        ScenarioEngine::kSeriesProvSatPrefMean,
+        ScenarioEngine::kSeriesConsSatMean,
+        ScenarioEngine::kSeriesProvSatIntFair,
+        ScenarioEngine::kSeriesConsSatFair}) {
     const auto* series = result.series.Find(key);
     ASSERT_NE(series, nullptr) << key;
     EXPECT_GE(series->size(), 10u) << key;
@@ -138,15 +156,14 @@ TEST(MediationSystemTest, SeriesAreSampledAndBounded) {
   }
 }
 
-TEST(MediationSystemTest, CaptiveRunsHaveNoDepartures) {
-  SqlbMethod method;
-  RunResult result = RunScenario(SmallConfig(1.0), &method);
+TEST(MonoMediatorTest, CaptiveRunsHaveNoDepartures) {
+  RunResult result = RunMono<SqlbMethod>(SmallConfig(1.0));
   EXPECT_TRUE(result.departures.empty());
   EXPECT_EQ(result.remaining_providers, result.initial_providers);
   EXPECT_EQ(result.remaining_consumers, result.initial_consumers);
 }
 
-TEST(MediationSystemTest, OverloadTriggersOverutilizationDepartures) {
+TEST(MonoMediatorTest, OverloadTriggersOverutilizationDepartures) {
   // Mariposa at overload concentrates load; with departures enabled some
   // providers must leave by overutilization (the Figure 5(b)/Table 3
   // mechanism).
@@ -155,8 +172,7 @@ TEST(MediationSystemTest, OverloadTriggersOverutilizationDepartures) {
   config.departures = DepartureConfig::AllEnabled();
   config.departures.grace_period = 150.0;
   config.departures.check_interval = 50.0;
-  MariposaMethod method;
-  RunResult result = RunScenario(config, &method);
+  RunResult result = RunMono<MariposaMethod>(config);
   EXPECT_GT(result.tally.providers_total(), 0u);
   EXPECT_GT(
       result.tally.ByReason(DepartureReason::kOverutilization) +
@@ -165,40 +181,44 @@ TEST(MediationSystemTest, OverloadTriggersOverutilizationDepartures) {
       0u);
 }
 
-TEST(MediationSystemTest, DepartedProvidersReceiveNothingMore) {
+TEST(MonoMediatorTest, DepartedProvidersReceiveNothingMore) {
   SystemConfig config = SmallConfig(0.9, 11);
   config.duration = 600.0;
   config.departures = DepartureConfig::AllEnabled();
   config.departures.grace_period = 150.0;
   config.departures.check_interval = 50.0;
-  MariposaMethod method;
-  MediationSystem system(config, &method);
-  RunResult result = system.Run();
+  std::unique_ptr<Service> service = MonoService<MariposaMethod>(config);
+  RunResult result = service->Run().run;
+  // A departed provider left the one core's membership, so no later
+  // matchmaking pass could offer it a query.
+  const MediationCore& core = service->sharded_system()->core(0);
+  ASSERT_GT(result.tally.providers_total(), 0u);
   for (const DepartureEvent& event : result.departures) {
     if (!event.is_provider) continue;
-    const auto& agent =
-        system.provider_agent(ProviderId(event.participant_index));
-    EXPECT_FALSE(agent.active());
+    EXPECT_FALSE(core.IsMember(event.participant_index));
+    EXPECT_EQ(std::count(core.active_providers().begin(),
+                         core.active_providers().end(),
+                         event.participant_index),
+              0);
   }
   EXPECT_EQ(result.remaining_providers + result.tally.providers_total(),
             result.initial_providers);
+  EXPECT_EQ(core.active_provider_count(), result.remaining_providers);
 }
 
-TEST(MediationSystemTest, MultiProviderQueriesRespectQn) {
+TEST(MonoMediatorTest, MultiProviderQueriesRespectQn) {
   SystemConfig config = SmallConfig(0.3);
   config.query_n = 3;
-  SqlbMethod method;
-  RunResult result = RunScenario(config, &method);
+  RunResult result = RunMono<SqlbMethod>(config);
   // Every query still completes exactly once (response at the last of the
   // three completions), so conservation holds.
   EXPECT_EQ(result.queries_completed, result.queries_issued);
 }
 
-TEST(MediationSystemDeathTest, RunTwiceAborts) {
-  SqlbMethod method;
-  MediationSystem system(SmallConfig(0.3), &method);
-  (void)system.Run();
-  EXPECT_DEATH((void)system.Run(), "once");
+TEST(MonoMediatorDeathTest, RunTwiceAborts) {
+  std::unique_ptr<Service> service = MonoService<SqlbMethod>(SmallConfig(0.3));
+  (void)service->Run();
+  EXPECT_DEATH((void)service->Run(), "once");
 }
 
 }  // namespace

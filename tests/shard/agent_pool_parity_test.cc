@@ -5,9 +5,9 @@
 #include <vector>
 
 #include "core/sqlb_method.h"
-#include "runtime/mediation_system.h"
 #include "shard/shard_router.h"
 #include "shard/sharded_mediation_system.h"
+#include "sqlb/service.h"
 
 /// \file
 /// The pooled agent-state bit-identity contract (runtime/agent_store.h,
@@ -109,6 +109,14 @@ ShardedMediationSystem::MethodFactory SqlbFactory() {
   return [](std::uint32_t) { return std::make_unique<SqlbMethod>(); };
 }
 
+/// `base` through sqlb::Service's Mode::kMono (the paper's mono-mediator).
+RunResult RunMono(const SystemConfig& base) {
+  sqlb::Config config;
+  config.mode = Mode::kMono;
+  config.scenario() = base;
+  return Service::Create(config, SqlbFactory())->Run().run;
+}
+
 TEST(AgentPoolParityTest, MonoRunIsBitIdenticalWithPoolOn) {
   SystemConfig heap = SmallConfig(0.9, 23);
   heap.departures = runtime::DepartureConfig::AllEnabled();
@@ -117,11 +125,8 @@ TEST(AgentPoolParityTest, MonoRunIsBitIdenticalWithPoolOn) {
   SystemConfig pooled = heap;
   pooled.agent_pool.enabled = true;
 
-  SqlbMethod m1, m2;
-  runtime::MediationSystem a(heap, &m1);
-  runtime::MediationSystem b(pooled, &m2);
-  const RunResult ra = a.Run();
-  const RunResult rb = b.Run();
+  const RunResult ra = RunMono(heap);
+  const RunResult rb = RunMono(pooled);
   ASSERT_GT(ra.queries_completed, 0u);
   ExpectIdenticalRuns(ra, rb);
 }
@@ -215,13 +220,14 @@ TEST(AgentPoolParityTest, BatchedIntakeIsBitIdenticalWithPoolOn) {
 /// arenas hold the queue/window chunks that the heap mode kept in
 /// per-agent containers.
 TEST(AgentPoolParityTest, PooledRunReservesArenaPages) {
-  SystemConfig pooled = SmallConfig(1.0, 61);
-  pooled.agent_pool.enabled = true;
-  SqlbMethod method;
-  runtime::MediationSystem system(pooled, &method);
-  const RunResult result = system.Run();
-  ASSERT_GT(result.queries_completed, 0u);
-  EXPECT_GT(system.engine().agent_store().arena_bytes_reserved(), 0u);
+  sqlb::Config config;
+  config.mode = Mode::kMono;
+  config.scenario() = SmallConfig(1.0, 61);
+  config.scenario().agent_pool.enabled = true;
+  const ShardedRunResult result =
+      Service::Create(config, SqlbFactory())->Run();
+  ASSERT_GT(result.run.queries_completed, 0u);
+  EXPECT_GT(result.arena_bytes_reserved, 0u);
 }
 
 }  // namespace

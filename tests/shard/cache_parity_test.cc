@@ -6,8 +6,8 @@
 
 #include "common/rng.h"
 #include "core/sqlb_method.h"
-#include "runtime/mediation_system.h"
 #include "shard/sharded_mediation_system.h"
+#include "sqlb/service.h"
 
 /// \file
 /// The characterization-cache bit-identity contract: a run with
@@ -95,6 +95,14 @@ ShardedMediationSystem::MethodFactory SqlbFactory() {
   return [](std::uint32_t) { return std::make_unique<SqlbMethod>(); };
 }
 
+/// `base` through sqlb::Service's Mode::kMono (the paper's mono-mediator).
+RunResult RunMono(const SystemConfig& base) {
+  sqlb::Config config;
+  config.mode = Mode::kMono;
+  config.scenario() = base;
+  return Service::Create(config, SqlbFactory())->Run().run;
+}
+
 TEST(CacheParityTest, MonoRunIsBitIdenticalWithCacheOff) {
   SystemConfig cached = SmallConfig(0.9, 17);
   cached.departures = runtime::DepartureConfig::AllEnabled();
@@ -103,11 +111,8 @@ TEST(CacheParityTest, MonoRunIsBitIdenticalWithCacheOff) {
   SystemConfig uncached = cached;
   uncached.characterization_cache = false;
 
-  SqlbMethod m1, m2;
-  runtime::MediationSystem a(cached, &m1);
-  runtime::MediationSystem b(uncached, &m2);
-  const RunResult ra = a.Run();
-  const RunResult rb = b.Run();
+  const RunResult ra = RunMono(cached);
+  const RunResult rb = RunMono(uncached);
   ASSERT_GT(ra.queries_completed, 0u);
   ExpectIdenticalRuns(ra, rb);
 }

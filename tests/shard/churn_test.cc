@@ -7,8 +7,8 @@
 #include <vector>
 
 #include "core/sqlb_method.h"
-#include "runtime/mediation_system.h"
 #include "shard/sharded_mediation_system.h"
+#include "sqlb/service.h"
 
 /// \file
 /// Pins the runtime re-partitioning contracts under provider churn:
@@ -16,8 +16,8 @@
 ///  - a strict-parity parallel run with a provider join/leave schedule (and
 ///    rebalancing on) is bit-identical to its serial twin at any thread
 ///    count, ownership sequence included;
-///  - the M = 1 sharded run with churn reproduces the mono-mediator with
-///    the same schedule exactly;
+///  - the strict-parity M = 1 shape with churn and rebalancing reproduces
+///    Mode::kMono with the same schedule exactly;
 ///  - a provider leaving mid-window loses no completed-query counts: every
 ///    query it was serving still completes and is counted once;
 ///  - mass departure triggers ring rebalances and seal -> drain -> transfer
@@ -82,6 +82,14 @@ ShardedSystemConfig StrictChurnConfig(const SystemConfig& base,
 
 ShardedMediationSystem::MethodFactory SqlbFactory() {
   return [](std::uint32_t) { return std::make_unique<SqlbMethod>(); };
+}
+
+/// `base` through sqlb::Service's Mode::kMono (the paper's mono-mediator).
+RunResult RunMono(const SystemConfig& base) {
+  sqlb::Config config;
+  config.mode = Mode::kMono;
+  config.scenario() = base;
+  return Service::Create(config, SqlbFactory())->Run().run;
 }
 
 /// Bitwise comparison (EXPECT_EQ on doubles is deliberate: the contract is
@@ -171,9 +179,7 @@ TEST(ChurnScheduleTest, MonoSystemAppliesJoinsAndScheduledLeaves) {
   config.provider_churn.Append(
       ChurnSchedule::MassDeparture(150.0, /*first=*/10, 4));
 
-  SqlbMethod method;
-  runtime::MediationSystem system(config, &method);
-  const RunResult result = system.Run();
+  const RunResult result = RunMono(config);
 
   EXPECT_EQ(result.initial_providers, 36u);  // 40 minus 4 holdouts
   EXPECT_EQ(result.provider_joins, 4u);
@@ -188,9 +194,7 @@ TEST(ChurnScheduleTest, SingleShardChurnReproducesMonoExactly) {
   SystemConfig base = SmallConfig(0.9, 11);
   base.provider_churn = QuarterFlap(base);
 
-  SqlbMethod mono_method;
-  runtime::MediationSystem mono(base, &mono_method);
-  const RunResult mono_result = mono.Run();
+  const RunResult mono_result = RunMono(base);
 
   ShardedSystemConfig sharded = StrictChurnConfig(base, 1);
   const ShardedRunResult sharded_result =

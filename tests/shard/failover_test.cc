@@ -8,8 +8,8 @@
 #include <vector>
 
 #include "core/sqlb_method.h"
-#include "runtime/mediation_system.h"
 #include "shard/sharded_mediation_system.h"
+#include "sqlb/service.h"
 
 /// \file
 /// Pins the mediator crash / failover / recovery contracts
@@ -27,8 +27,8 @@
 ///  - the gossip protocol stays safe under injected message loss: dropped
 ///    ring announcements are re-sent until acknowledged, and the run's
 ///    invariants are unchanged;
-///  - the M = 1 sharded tier under kills reproduces the mono-mediator's
-///    crash-and-restart semantics bit-for-bit.
+///  - the strict-parity M = 1 shape under kills reproduces Mode::kMono's
+///    crash-and-restart bit-for-bit.
 
 namespace sqlb::shard {
 namespace {
@@ -66,6 +66,14 @@ ShardedSystemConfig StrictFaultConfig(const SystemConfig& base,
 
 ShardedMediationSystem::MethodFactory SqlbFactory() {
   return [](std::uint32_t) { return std::make_unique<SqlbMethod>(); };
+}
+
+/// `base` through sqlb::Service's Mode::kMono (the paper's mono-mediator).
+RunResult RunMono(const SystemConfig& base) {
+  sqlb::Config config;
+  config.mode = Mode::kMono;
+  config.scenario() = base;
+  return Service::Create(config, SqlbFactory())->Run().run;
 }
 
 /// The tentpole invariant: every issued query is accounted exactly once —
@@ -462,7 +470,9 @@ TEST(NetworkFaultTest, ZeroPolicyIsBitIdenticalToNoPolicy) {
 }
 
 // ---------------------------------------------------------------------------
-// Mono crash-and-restart == M = 1 sharded under the same kill schedule.
+// Mode::kMono crash-and-restart == the strict-parity M = 1 shape
+// (consumer-affine routing, no rerouting, rebalancing on) under the same
+// kill schedule.
 // ---------------------------------------------------------------------------
 
 TEST(MonoFailoverTest, MonoRestartMatchesSingleShardExactly) {
@@ -470,9 +480,7 @@ TEST(MonoFailoverTest, MonoRestartMatchesSingleShardExactly) {
   base.shard_faults = FaultSchedule::KillAt(120.0, 0);
   base.shard_faults.Append(FaultSchedule::KillAt(220.0, 0));
 
-  SqlbMethod mono_method;
-  runtime::MediationSystem mono(base, &mono_method);
-  const RunResult mono_result = mono.Run();
+  const RunResult mono_result = RunMono(base);
 
   ExpectZeroLostCompletions(mono_result);
   EXPECT_GT(mono_result.queries_reissued, 0u);
@@ -501,11 +509,8 @@ TEST(MonoFailoverTest, CrashPenaltyShowsUpInResponseTime) {
   faulted.shard_faults = FaultSchedule::KillAt(120.0, 0);
   faulted.shard_faults.snapshot_interval = 100.0;  // coarse: big loss window
 
-  SqlbMethod m1, m2;
-  runtime::MediationSystem calm_system(calm, &m1);
-  const RunResult calm_result = calm_system.Run();
-  runtime::MediationSystem faulted_system(faulted, &m2);
-  const RunResult faulted_result = faulted_system.Run();
+  const RunResult calm_result = RunMono(calm);
+  const RunResult faulted_result = RunMono(faulted);
 
   ExpectZeroLostCompletions(faulted_result);
   ASSERT_GT(faulted_result.queries_reissued, 0u);

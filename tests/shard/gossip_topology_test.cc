@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/sqlb_method.h"
-#include "runtime/mediation_system.h"
 #include "shard/gossip_topology.h"
 #include "shard/sharded_mediation_system.h"
 

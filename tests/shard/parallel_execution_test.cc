@@ -9,9 +9,10 @@
 
 #include "core/sqlb_method.h"
 #include "runtime/mediation_core.h"
-#include "runtime/mediation_system.h"
+#include "runtime/scenario_engine.h"
 #include "shard/shard_router.h"
 #include "shard/sharded_mediation_system.h"
+#include "sqlb/service.h"
 
 /// \file
 /// Pins the epoch-parallel execution and batched-intake contracts:
@@ -60,6 +61,14 @@ ShardedMediationSystem::MethodFactory SqlbFactory() {
   return [](std::uint32_t) { return std::make_unique<SqlbMethod>(); };
 }
 
+/// `base` through sqlb::Service's Mode::kMono (the paper's mono-mediator).
+RunResult RunMono(const SystemConfig& base) {
+  sqlb::Config config;
+  config.mode = Mode::kMono;
+  config.scenario() = base;
+  return Service::Create(config, SqlbFactory())->Run().run;
+}
+
 /// Bitwise comparison of everything a run produces. EXPECT_EQ on doubles is
 /// deliberate: the contract is bit-identity, not closeness.
 void ExpectIdenticalRuns(const RunResult& a, const RunResult& b) {
@@ -91,8 +100,7 @@ void ExpectIdenticalRuns(const RunResult& a, const RunResult& b) {
   }
 
   // Every series `a` collected must exist in `b` with identical samples
-  // (`b` may carry extra keys: the sharded tier adds shard.* series the
-  // mono-mediator does not have).
+  // (`b` may carry extra keys, such as per-shard shard.* series).
   const std::vector<std::string> names = a.series.Names();
   for (const std::string& name : names) {
     const des::TimeSeries* sa = a.series.Find(name);
@@ -199,10 +207,7 @@ TEST(ParallelExecutionTest, ParallelRunsAreDeterministicAcrossRepeats) {
 
 TEST(ParallelExecutionTest, M1ParallelStillMatchesMonoMediator) {
   const SystemConfig base = SmallConfig(0.7);
-
-  SqlbMethod mono_method;
-  runtime::MediationSystem mono(base, &mono_method);
-  const RunResult mono_result = mono.Run();
+  const RunResult mono_result = RunMono(base);
 
   ShardedSystemConfig parallel = ParallelizableConfig(base, 1);
   parallel.worker_threads = 2;
@@ -246,9 +251,9 @@ void ExpectRelaxedWithinBound(const ShardedRunResult& serial,
   EXPECT_NEAR(rt_relaxed, rt_serial, kRelaxedRtTolerance * rt_serial);
 
   const auto* sat_serial = serial.run.series.Find(
-      runtime::MediationSystem::kSeriesConsAllocSatMean);
+      runtime::ScenarioEngine::kSeriesConsAllocSatMean);
   const auto* sat_relaxed = relaxed.run.series.Find(
-      runtime::MediationSystem::kSeriesConsAllocSatMean);
+      runtime::ScenarioEngine::kSeriesConsAllocSatMean);
   ASSERT_NE(sat_serial, nullptr);
   ASSERT_NE(sat_relaxed, nullptr);
   const double allocsat_serial = sat_serial->samples.back().second;

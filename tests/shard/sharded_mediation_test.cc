@@ -6,14 +6,14 @@
 
 #include "core/sqlb_method.h"
 #include "methods/capacity_based.h"
-#include "runtime/mediation_system.h"
+#include "runtime/scenario_engine.h"
 #include "shard/shard_router.h"
 
 namespace sqlb::shard {
 namespace {
 
-using runtime::MediationSystem;
 using runtime::RunResult;
+using runtime::ScenarioEngine;
 using runtime::SystemConfig;
 
 /// A scaled-down Table 2 setup that runs in milliseconds.
@@ -51,75 +51,31 @@ double FinalValue(const RunResult& result, const char* key) {
 }
 
 // ---------------------------------------------------------------------------
-// M = 1 parity: the sharded tier with one shard IS the mono-mediator.
+// M = 1: the paper's mono-mediator (sqlb::Service's Mode::kMono runs this
+// exact configuration; tests/runtime/mono_mediator_test.cc covers it).
 // ---------------------------------------------------------------------------
 
-TEST(ShardedMediationTest, SingleShardReproducesMonoMediatorExactly) {
-  const SystemConfig base = SmallConfig(0.7);
-
-  SqlbMethod mono_method;
-  runtime::MediationSystem mono(base, &mono_method);
-  const RunResult mono_result = mono.Run();
-
-  const ShardedRunResult sharded =
-      RunShardedScenario(Sharded(base, 1), SqlbFactory());
-
-  // Same RNG streams + same pipeline code = the same run, not a similar
-  // one. Counters must match exactly, response-time moments bit-for-bit.
-  EXPECT_EQ(sharded.run.queries_issued, mono_result.queries_issued);
-  EXPECT_EQ(sharded.run.queries_completed, mono_result.queries_completed);
-  EXPECT_EQ(sharded.run.queries_infeasible, mono_result.queries_infeasible);
-  EXPECT_DOUBLE_EQ(sharded.run.response_time.mean(),
-                   mono_result.response_time.mean());
-  EXPECT_DOUBLE_EQ(sharded.run.response_time_all.mean(),
-                   mono_result.response_time_all.mean());
-  EXPECT_DOUBLE_EQ(sharded.run.response_time.max(),
-                   mono_result.response_time.max());
-
-  // Quality metrics (the Figure 4 series) agree sample for sample.
-  for (const char* key :
-       {MediationSystem::kSeriesProvSatIntMean,
-        MediationSystem::kSeriesConsAllocSatMean,
-        MediationSystem::kSeriesUtMean, MediationSystem::kSeriesUtFair,
-        MediationSystem::kSeriesResponseTime}) {
-    EXPECT_DOUBLE_EQ(FinalValue(sharded.run, key),
-                     FinalValue(mono_result, key))
-        << key;
-    EXPECT_NEAR(sharded.run.series.Find(key)->MeanOver(0.0, base.duration),
-                mono_result.series.Find(key)->MeanOver(0.0, base.duration),
-                1e-12)
-        << key;
-  }
-
-  // No shard-tier machinery fired behind the mono system's back.
-  EXPECT_EQ(sharded.run.departures.size(), mono_result.departures.size());
-  EXPECT_EQ(sharded.reroutes, 0u);
-  EXPECT_EQ(sharded.reroute_rescues, 0u);
-}
-
-TEST(ShardedMediationTest, SingleShardParityHoldsUnderDepartures) {
+TEST(ShardedMediationTest, SingleShardNeverReroutes) {
+  // With one shard every query's first choice is the only shard, so no
+  // shard-tier machinery fires behind the mediator's back — not even once
+  // the departure rules shrink the candidate set.
   SystemConfig base = SmallConfig(0.9, 7);
   base.departures = runtime::DepartureConfig::AllEnabled();
   base.departures.grace_period = 60.0;
   base.departures.check_interval = 60.0;
 
-  auto mono_method = std::make_unique<SqlbMethod>();
-  const RunResult mono_result =
-      runtime::RunScenario(base, mono_method.get());
-
-  const ShardedRunResult sharded =
+  const ShardedRunResult result =
       RunShardedScenario(Sharded(base, 1), SqlbFactory());
 
-  EXPECT_EQ(sharded.run.queries_issued, mono_result.queries_issued);
-  EXPECT_EQ(sharded.run.departures.size(), mono_result.departures.size());
-  EXPECT_EQ(sharded.run.remaining_providers,
-            mono_result.remaining_providers);
-  EXPECT_EQ(sharded.run.remaining_consumers,
-            mono_result.remaining_consumers);
-  EXPECT_EQ(sharded.run.tally.providers_total(),
-            mono_result.tally.providers_total());
-  EXPECT_EQ(sharded.run.tally.consumers_total(),
-            mono_result.tally.consumers_total());
+  EXPECT_EQ(result.reroutes, 0u);
+  EXPECT_EQ(result.reroute_rescues, 0u);
+  ASSERT_EQ(result.shards.size(), 1u);
+  EXPECT_EQ(result.shards[0].routed, result.run.queries_issued);
+  EXPECT_EQ(result.shards[0].remaining_providers,
+            result.run.remaining_providers);
+  EXPECT_EQ(result.run.remaining_providers +
+                result.run.tally.providers_total(),
+            result.run.initial_providers);
 }
 
 // ---------------------------------------------------------------------------
@@ -156,7 +112,7 @@ TEST(ShardedMediationTest, AggregatedSeriesCoverAllShards) {
 
   // The aggregate active-provider series counts every shard's members.
   EXPECT_DOUBLE_EQ(
-      FinalValue(result.run, MediationSystem::kSeriesActiveProviders), 40.0);
+      FinalValue(result.run, ScenarioEngine::kSeriesActiveProviders), 40.0);
   // Per-shard utilization series exist and sit near the configured load.
   for (std::size_t s = 0; s < 4; ++s) {
     const auto* series = result.run.series.Find(

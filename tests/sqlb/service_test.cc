@@ -6,15 +6,19 @@
 #include <vector>
 
 #include "core/sqlb_method.h"
-#include "runtime/mediation_system.h"
+#include "runtime/departures.h"
+#include "runtime/faults.h"
 #include "shard/sharded_mediation_system.h"
 #include "sqlb/service.h"
 
 /// \file
 /// The sqlb::Service facade (src/sqlb/service.h): the unified
 /// Config::Validate() path — actionable errors instead of scattered
-/// asserts — and facade/driver parity: running a scenario through the
-/// facade must be bit-identical to constructing the driver directly.
+/// asserts, including every schedule index and parallel shape the DES
+/// driver would abort on — and facade/driver parity: running a scenario
+/// through the facade must be bit-identical to constructing the driver
+/// directly, and Mode::kMono must read nothing of `Config::sharded` but its
+/// `base`.
 
 namespace sqlb {
 namespace {
@@ -116,6 +120,113 @@ TEST(ServiceConfigTest, RejectsChurnWithNonPositiveRetryInterval) {
   EXPECT_NE(status.message().find("churn_retry_interval"), std::string::npos);
 }
 
+// The DES driver aborts on a kill naming a shard it does not run and on a
+// churn event naming a provider outside the population; Validate() must
+// catch both first, so Create() can report them through its Status.
+
+TEST(ServiceConfigTest, RejectsFaultOnUnknownShardUnderSharded) {
+  Config config;
+  config.mode = Mode::kSharded;
+  config.scenario() = SmallScenario();
+  config.sharded.router.num_shards = 4;
+  config.scenario().shard_faults = runtime::FaultSchedule::KillAt(10.0, 7);
+  Status status;
+  EXPECT_EQ(Service::Create(config, SqlbFactory(), &status), nullptr);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("shard_faults"), std::string::npos);
+
+  config.scenario().shard_faults = runtime::FaultSchedule::KillAt(10.0, 3);
+  EXPECT_TRUE(config.Validate().ok());
+}
+
+TEST(ServiceConfigTest, RejectsFaultOnNonzeroShardUnderMono) {
+  Config config;
+  config.mode = Mode::kMono;
+  config.scenario() = SmallScenario();
+  config.scenario().shard_faults = runtime::FaultSchedule::KillAt(10.0, 1);
+  Status status;
+  EXPECT_EQ(Service::Create(config, SqlbFactory(), &status), nullptr);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("shard_faults"), std::string::npos);
+
+  config.scenario().shard_faults = runtime::FaultSchedule::KillAt(10.0, 0);
+  EXPECT_TRUE(config.Validate().ok());
+}
+
+TEST(ServiceConfigTest, RejectsChurnOnUnknownProvider) {
+  // 20 providers: a flash join of providers 18..22 runs off the end.
+  for (Mode mode : {Mode::kMono, Mode::kSharded}) {
+    Config config;
+    config.mode = mode;
+    config.scenario() = SmallScenario();
+    config.scenario().provider_churn =
+        runtime::ChurnSchedule::FlashJoin(10.0, /*first=*/18, /*count=*/5);
+    Status status;
+    EXPECT_EQ(Service::Create(config, SqlbFactory(), &status), nullptr);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("provider_churn"), std::string::npos);
+  }
+}
+
+TEST(ServiceConfigTest, RejectsChurnBeforeTimeZero) {
+  Config config;
+  config.scenario() = SmallScenario();
+  runtime::ProviderChurnEvent event;
+  event.time = -1.0;
+  config.scenario().provider_churn.events.push_back(event);
+  const Status status = config.Validate();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("provider_churn"), std::string::npos);
+}
+
+// A parallel run the parity rule (shard/parity.h) refuses must fail
+// Validate(), not abort in Run(): one case per refused shape.
+
+Config ParallelConfig() {
+  Config config;
+  config.mode = Mode::kSharded;
+  config.scenario() = SmallScenario();
+  config.sharded.router.num_shards = 4;
+  config.sharded.worker_threads = 2;
+  return config;
+}
+
+TEST(ServiceConfigTest, RejectsParallelRunWithRerouting) {
+  const Config config = ParallelConfig();  // rerouting on by default
+  const Status status = config.Validate();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("rerouting"), std::string::npos);
+
+  Config single = config;  // a single shard has nowhere to re-route to
+  single.sharded.router.num_shards = 1;
+  EXPECT_TRUE(single.Validate().ok());
+}
+
+TEST(ServiceConfigTest, RejectsParallelRunWithReputationFeedback) {
+  Config config = ParallelConfig();
+  config.sharded.router.policy = shard::RoutingPolicy::kLocality;
+  config.sharded.rerouting_enabled = false;
+  config.scenario().reputation_feedback = true;
+  const Status status = config.Validate();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("reputation_feedback"), std::string::npos);
+}
+
+TEST(ServiceConfigTest, RejectsStrictParallelRunWithLoadAwareRouting) {
+  Config config = ParallelConfig();
+  config.sharded.router.policy = shard::RoutingPolicy::kLeastLoaded;
+  config.sharded.rerouting_enabled = false;
+  const Status status = config.Validate();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("kLocality"), std::string::npos);
+
+  config.sharded.parity = shard::ParityMode::kRelaxed;
+  EXPECT_TRUE(config.Validate().ok());
+  config.sharded.worker_threads = 0;  // serial runs admit every shape
+  config.sharded.parity = shard::ParityMode::kStrict;
+  EXPECT_TRUE(config.Validate().ok());
+}
+
 TEST(ServiceConfigTest, CreateSurfacesValidationErrorsThroughStatus) {
   Config config;
   config.scenario() = SmallScenario();
@@ -130,25 +241,100 @@ TEST(ServiceConfigTest, CreateSurfacesValidationErrorsThroughStatus) {
 
 // --- Facade parity ----------------------------------------------------------
 
-TEST(ServiceParityTest, MonoRunMatchesDirectDriverBitForBit) {
-  const runtime::SystemConfig scenario = SmallScenario();
-  SqlbMethod method;
-  const runtime::RunResult direct = runtime::RunScenario(scenario, &method);
+TEST(ServiceParityTest, MonoRunMatchesStrictSingleShardRun) {
+  // Mode::kMono (one hash-routed shard, rerouting and gossip on) against
+  // the strict-parity single-shard shape with routing, rerouting and gossip
+  // changed: at M = 1 none of them may change a result.
+  Config mono;
+  mono.mode = Mode::kMono;
+  mono.scenario() = SmallScenario();
+  const shard::ShardedRunResult a = Service::Create(mono, SqlbFactory())->Run();
 
-  Config config;
-  config.mode = Mode::kMono;
-  config.scenario() = scenario;
-  const shard::ShardedRunResult facade =
-      Service::Create(config, SqlbFactory())->Run();
+  Config single;
+  single.mode = Mode::kSharded;
+  single.scenario() = SmallScenario();
+  single.sharded.router.policy = shard::RoutingPolicy::kLocality;
+  single.sharded.rerouting_enabled = false;
+  single.sharded.gossip_enabled = false;
+  const shard::ShardedRunResult b =
+      Service::Create(single, SqlbFactory())->Run();
 
-  EXPECT_EQ(facade.run.queries_issued, direct.queries_issued);
-  EXPECT_EQ(facade.run.queries_completed, direct.queries_completed);
-  EXPECT_EQ(facade.run.queries_infeasible, direct.queries_infeasible);
-  EXPECT_EQ(facade.run.response_time.mean(), direct.response_time.mean());
-  EXPECT_EQ(facade.run.method_name, direct.method_name);
-  // The synthetic shard entry mirrors the mono run.
-  ASSERT_EQ(facade.shards.size(), 1u);
-  EXPECT_EQ(facade.shards[0].routed, direct.queries_issued);
+  EXPECT_EQ(a.run.queries_issued, b.run.queries_issued);
+  EXPECT_EQ(a.run.queries_completed, b.run.queries_completed);
+  EXPECT_EQ(a.run.queries_infeasible, b.run.queries_infeasible);
+  EXPECT_EQ(a.run.response_time.mean(), b.run.response_time.mean());
+  EXPECT_EQ(a.run.response_time.variance(), b.run.response_time.variance());
+  EXPECT_EQ(a.run.method_name, b.run.method_name);
+  ASSERT_EQ(a.shards.size(), 1u);
+  ASSERT_EQ(b.shards.size(), 1u);
+  EXPECT_EQ(a.shards[0].routed, a.run.queries_issued);
+  EXPECT_EQ(a.shards[0].routed, b.shards[0].routed);
+  EXPECT_EQ(a.shards[0].allocated, b.shards[0].allocated);
+  EXPECT_EQ(a.reroutes, 0u);
+  EXPECT_GT(a.gossip_load_messages, 0u);
+  EXPECT_EQ(b.gossip_load_messages, 0u);
+}
+
+TEST(ServiceParityTest, MonoIgnoresEveryShardedFieldButBase) {
+  Config plain;
+  plain.mode = Mode::kMono;
+  plain.scenario() = SmallScenario();
+
+  // Every other ShardedSystemConfig field away from its default, several
+  // to values kSharded itself would refuse (zero shards and route
+  // attempts, a parallel run with rerouting on, a zero adaptive window).
+  Config scrambled = plain;
+  shard::ShardedSystemConfig& s = scrambled.sharded;
+  s.router.num_shards = 0;
+  s.router.policy = shard::RoutingPolicy::kLeastLoaded;
+  s.router.virtual_nodes = 3;
+  s.router.seed = 7;
+  s.gossip_enabled = false;
+  s.gossip_interval = 0.0;
+  s.gossip_latency = msg::LatencyModel{1.0, 1.0};
+  s.gossip_topology = shard::GossipTopologyKind::kHierarchical;
+  s.gossip_fanout = 2;
+  s.network_faults.drop_probability = 0.5;
+  s.rerouting_enabled = true;
+  s.saturation_backlog_seconds = 1.0;
+  s.max_route_attempts = 0;
+  s.worker_threads = 2;
+  s.parity = shard::ParityMode::kRelaxed;
+  s.pin_worker_threads = true;
+  s.topology_aware_workers = true;
+  s.batch_window = 0.5;
+  s.adaptive_batch.enabled = true;
+  s.adaptive_batch.max_window = 0.0;
+  s.rebalance_enabled = true;
+  s.rebalance_interval = 0.0;
+  ASSERT_TRUE(scrambled.Validate().ok());
+
+  const shard::ShardedRunResult a =
+      Service::Create(plain, SqlbFactory())->Run();
+  const shard::ShardedRunResult b =
+      Service::Create(scrambled, SqlbFactory())->Run();
+
+  EXPECT_EQ(a.run.queries_issued, b.run.queries_issued);
+  EXPECT_EQ(a.run.queries_completed, b.run.queries_completed);
+  EXPECT_EQ(a.run.queries_infeasible, b.run.queries_infeasible);
+  EXPECT_EQ(a.run.response_time.mean(), b.run.response_time.mean());
+  EXPECT_EQ(a.run.response_time.variance(), b.run.response_time.variance());
+  ASSERT_EQ(a.run.series.Names(), b.run.series.Names());
+  for (const std::string& name : a.run.series.Names()) {
+    EXPECT_EQ(a.run.series.Find(name)->samples,
+              b.run.series.Find(name)->samples)
+        << name;
+  }
+  // Both ran the defaults: one shard, serial, unbatched, direct gossip.
+  for (const shard::ShardedRunResult* r : {&a, &b}) {
+    ASSERT_EQ(r->shards.size(), 1u);
+    EXPECT_EQ(r->batch_flushes, 0u);
+    EXPECT_EQ(r->ring_epoch, 0u);
+    EXPECT_EQ(r->net_injected_drops, 0u);
+    EXPECT_EQ(r->gossip_relay_forwards, 0u);
+  }
+  EXPECT_EQ(a.gossip_load_messages, b.gossip_load_messages);
+  EXPECT_GT(b.gossip_load_messages, 0u);
 }
 
 TEST(ServiceParityTest, ShardedRunMatchesDirectDriverBitForBit) {
