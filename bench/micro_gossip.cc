@@ -1,12 +1,10 @@
 // Microbenchmarks: gossip dissemination topologies (shard/gossip_topology.h)
 // over the real message runtime (msg/network.h). One "round" is every live
-// shard getting its load report to the router: all-to-all floods Theta(M^2)
-// messages through the network, the k-ary hierarchical tree relays
-// O(M log M), direct is the M-message legacy baseline. Items processed =
-// messages, so the items/sec column is dissemination throughput and the
-// per-iteration wall time is the kernel + network cost of one round — the
-// concrete gap the hierarchical topology exists to close at fleet scale
-// (M = 256 all-to-all is 65536 sends per round against the tree's ~1000).
+// shard getting its load report to the router: the k-ary hierarchical tree
+// relays O(M log M) messages, direct is the M-message legacy baseline.
+// Items processed = messages, so the items/sec column is dissemination
+// throughput and the per-iteration wall time is the kernel + network cost
+// of one round.
 
 #include <benchmark/benchmark.h>
 
@@ -29,13 +27,11 @@ constexpr std::size_t kFanout = 4;
 /// ShardedMediationSystem::RelayLoadReport path without the mediation tier.
 struct RelayNode : msg::Node {
   std::size_t rank = 0;
-  bool forward_enabled = true;  // false = mesh peer, absorbs deliveries
   NodeId sink;
   const std::vector<NodeId>* addresses = nullptr;
   std::uint64_t* message_count = nullptr;
 
   void OnMessage(msg::Network& network, const msg::Message& message) override {
-    if (!forward_enabled) return;
     msg::Message forward;
     forward.from = message.to;
     forward.to = rank == 0 ? sink
@@ -89,28 +85,6 @@ struct GossipFixture {
   }
 };
 
-/// One all-to-all round: M reports, each flooded to every peer + the sink.
-void BM_GossipAllToAll(benchmark::State& state) {
-  const std::size_t m = static_cast<std::size_t>(state.range(0));
-  GossipFixture fx(m);
-  // Peers must not re-forward in the mesh: deliveries terminate at arrival.
-  for (auto& shard : fx.shards) shard.forward_enabled = false;
-  std::uint64_t rounds = 0;
-  for (auto _ : state) {
-    for (std::size_t s = 0; s < m; ++s) {
-      for (std::size_t t = 0; t < m; ++t) {
-        fx.SendReport(s, t == s ? fx.sink_address : fx.addresses[t]);
-      }
-    }
-    fx.sim.RunAll();
-    ++rounds;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(
-      rounds * AllToAllMessagesPerRound(m)));
-  state.counters["msgs_per_round"] =
-      static_cast<double>(AllToAllMessagesPerRound(m));
-}
-
 /// One hierarchical round: each shard sends one hop up the k-ary tree;
 /// relays forward at delivery time until the root hands off to the sink.
 void BM_GossipHierarchical(benchmark::State& state) {
@@ -151,7 +125,6 @@ void BM_GossipDirect(benchmark::State& state) {
 
 BENCHMARK(BM_GossipDirect)->Arg(8)->Arg(64)->Arg(256);
 BENCHMARK(BM_GossipHierarchical)->Arg(8)->Arg(64)->Arg(256);
-BENCHMARK(BM_GossipAllToAll)->Arg(8)->Arg(64)->Arg(256);
 
 }  // namespace
 }  // namespace sqlb::shard

@@ -8,11 +8,10 @@
 //     sink merge at gossip/probe barriers) with batched Algorithm-1 intake
 //     (one matchmaking pass + one provider characterization snapshot + one
 //     scoring pass per arrival burst).
-//  3. Relaxed parity (PR 3): least-loaded routing — which strict
-//     parallel mode rejects — on worker threads, with per-consumer
-//     sequence locks and bounded aggregate divergence from the serial
-//     least-loaded run (counters conserved exactly; response time within
-//     a small tolerance).
+//  3. Least-loaded routing — which strict parallel mode rejects, since it
+//     spreads one consumer across lanes — runs serial only: unbatched,
+//     statically batched, and with adaptive per-shard windows (the
+//     adaptive gates compare against the static 8-ll-batch row).
 //  4. Churn (PR 4): the same 8-shard strict tier under a provider
 //     join/leave schedule that guts one shard mid-run, with runtime ring
 //     re-partitioning on — the churn arm must stay bit-identical between
@@ -212,7 +211,6 @@ struct ShardedOptions {
   bool rerouting = true;
   std::size_t worker_threads = 0;
   double batch_window = 0.0;
-  shard::ParityMode parity = shard::ParityMode::kStrict;
   /// Churn arms: a provider join/leave schedule plus ring re-partitioning.
   const runtime::ChurnSchedule* churn = nullptr;
   bool rebalance = false;
@@ -245,7 +243,6 @@ ScalePoint RunSharded(const runtime::SystemConfig& base,
   config.rerouting_enabled = options.rerouting;
   config.worker_threads = options.worker_threads;
   config.batch_window = options.batch_window;
-  config.parity = options.parity;
   if (options.churn != nullptr) config.base.provider_churn = *options.churn;
   if (options.faults != nullptr) config.base.shard_faults = *options.faults;
   config.rebalance_enabled = options.rebalance;
@@ -421,7 +418,6 @@ int main() {
   if (fast) {
     thread_counts = {1, 4};
     skipped.push_back("8-par-t2");
-    skipped.push_back("8-relax-t2");
   }
   if (hw > 4) {
     thread_counts.push_back(hw);
@@ -438,19 +434,15 @@ int main() {
     parallel_labels.push_back(parallel.label);
   }
 
-  // The relaxed-parity story: least-loaded routing — which strict parallel
-  // mode rejects — against its own serial baseline. Same stacking as the
-  // locality rows: unbatched serial baseline, then batching + lanes on top
-  // (under relaxed parity with per-consumer sequence locks).
+  // The least-loaded story: load-aware routing, which strict parallel mode
+  // rejects, so these rows run serial. Unbatched baseline first.
   const ShardedOptions ll_serial{"8-ll-serial", kShards,
                                  shard::RoutingPolicy::kLeastLoaded, false, 0,
-                                 0.0, shard::ParityMode::kStrict};
+                                 0.0};
   points.push_back(RunSharded(base, ll_serial));
 
-  // Serial batched least-loaded: the divergence baseline for the relaxed
-  // rows (same routing, same coalescing — only the execution substrate
-  // differs). Also documents the cost of coalescing under a herding stale
-  // load table (the adaptive-batch-window roadmap item).
+  // Serial batched least-loaded: the static-window baseline of the adaptive
+  // row. Documents the cost of coalescing under a herding stale load table.
   ShardedOptions ll_batched = ll_serial;
   ll_batched.label = "8-ll-batch";
   ll_batched.batch_window = batch_window;
@@ -467,17 +459,6 @@ int main() {
   adaptive.adaptive = true;
   adaptive.adaptive_max_window = batch_window;
   points.push_back(RunSharded(base, adaptive));
-
-  std::vector<std::string> relaxed_labels;
-  for (std::size_t threads : thread_counts) {
-    ShardedOptions relaxed = ll_serial;
-    relaxed.label = "8-relax-t" + std::to_string(threads);
-    relaxed.worker_threads = threads;
-    relaxed.batch_window = batch_window;
-    relaxed.parity = shard::ParityMode::kRelaxed;
-    points.push_back(RunSharded(base, relaxed));
-    relaxed_labels.push_back(relaxed.label);
-  }
 
   // The churn story: gut shard 0 (every provider the 8-shard ring assigns
   // it leaves a third into the run and rejoins at two thirds — by then the
@@ -762,29 +743,7 @@ int main() {
   std::printf("parallel determinism across thread counts: %s\n",
               thread_determinism ? "EXACT" : "BROKEN (investigate!)");
 
-  // 5. Relaxed-parity divergence bound vs the serial twin of the same
-  //    configuration (8-ll-batch: identical routing and coalescing, only
-  //    the execution substrate differs): counters conserved exactly, mean
-  //    response time within 10%.
-  const ScalePoint& ll_base = FindPoint(points, "8-ll-serial");
-  const ScalePoint& ll_twin = FindPoint(points, "8-ll-batch");
-  bool relaxed_counters_conserved = true;
-  bool relaxed_rt_within_tolerance = true;
-  for (const std::string& label : relaxed_labels) {
-    const ScalePoint& p = FindPoint(points, label);
-    relaxed_counters_conserved = relaxed_counters_conserved &&
-                                 p.issued == ll_twin.issued &&
-                                 p.completed == p.issued;
-    const double rt_delta = std::abs(p.mean_rt - ll_twin.mean_rt);
-    relaxed_rt_within_tolerance =
-        relaxed_rt_within_tolerance && rt_delta <= 0.10 * ll_twin.mean_rt;
-  }
-  std::printf("relaxed-parity counters conserved vs 8-ll-batch: %s\n",
-              relaxed_counters_conserved ? "EXACT" : "BROKEN (investigate!)");
-  std::printf("relaxed-parity mean rt within 10%% of serial twin: %s\n",
-              relaxed_rt_within_tolerance ? "OK" : "BROKEN (investigate!)");
-
-  // 6. Churn: the strict parallel churn row must BE the serial churn row,
+  // 5. Churn: the strict parallel churn row must BE the serial churn row,
   //    the ring must actually re-partition, and the accounting must stay
   //    conserved under the handoffs.
   const ScalePoint& churn0 = FindPoint(points, "8-churn-serial");
@@ -808,7 +767,7 @@ int main() {
       static_cast<unsigned long long>(churn0.handoffs),
       static_cast<unsigned long long>(churn0.joins));
 
-  // 7. Chaos: zero lost completions under the kill schedule — every issued
+  // 6. Chaos: zero lost completions under the kill schedule — every issued
   //    query is completed, declared infeasible, or declared re-issued,
   //    exactly — the failover machinery actually fired (crashes and
   //    snapshots happened), and the strict 4-thread chaos row must BE the
@@ -851,7 +810,7 @@ int main() {
       static_cast<unsigned long long>(chaos0.orphaned),
       static_cast<unsigned long long>(chaos0.dropped_completions));
 
-  // 8. Pooled agent state must be storage-only: the pooled twin replays
+  // 7. Pooled agent state must be storage-only: the pooled twin replays
   //    8-serial bit for bit, and so does the topology-aware parallel twin
   //    (placement moves threads, never the schedule within a lane).
   const ScalePoint& pooled_pt = FindPoint(points, "8-pooled");
@@ -869,7 +828,7 @@ int main() {
   std::printf("topology-aware parallel parity with 8-serial: %s\n",
               topo_parity ? "EXACT" : "BROKEN (investigate!)");
 
-  // 9. Gossip wire cost at M = 64: the direct arm counts rounds exactly
+  // 8. Gossip wire cost at M = 64: the direct arm counts rounds exactly
   //    (sends only, at send time), and the hierarchical arm must stay
   //    under the O(M log M) budget for those rounds. Its own counter obeys
   //    the audit identity total = rounds x M + relay forwards, up to the
@@ -894,7 +853,7 @@ int main() {
       static_cast<unsigned long long>(gossip_budget),
       gossip_budget_ok ? "UNDER" : "OVER (investigate!)");
 
-  // 10. Per-provider residency: the pooled layout must cut resident bytes
+  // 9. Per-provider residency: the pooled layout must cut resident bytes
   //     per provider >= 4x vs the eager heap twin of the same run, and the
   //     1M arm (full runs) must hold the same factor vs that AoS baseline
   //     while finishing inside container memory.
@@ -954,25 +913,10 @@ int main() {
       parallel_speedup_4t, parallel_speedup_best, hw,
       hw < 4 ? "; the >= 3x target needs >= 4 cores" : "");
 
-  double relaxed_wall_4t =
-      FindPoint(points, relaxed_labels.front()).wall_seconds;
-  double best_relaxed_wall = relaxed_wall_4t;
-  for (const std::string& label : relaxed_labels) {
-    const ScalePoint& p = FindPoint(points, label);
-    best_relaxed_wall = std::min(best_relaxed_wall, p.wall_seconds);
-    if (p.threads == 4) relaxed_wall_4t = p.wall_seconds;
-  }
-  const double relaxed_speedup_4t = ll_base.wall_seconds / relaxed_wall_4t;
-  const double relaxed_speedup_best = ll_base.wall_seconds / best_relaxed_wall;
-  std::printf(
-      "relaxed-parity speedup over 8-ll-serial: %.2fx at 4 threads, %.2fx "
-      "best%s\n",
-      relaxed_speedup_4t, relaxed_speedup_best,
-      hw < 4 ? " (the >= 1.5x gate needs >= 4 cores)" : "");
-
   // Adaptive batch windows vs the static window under the same routing:
   // the adaptive controller must close (most of) the coalescing response-
   // time penalty without giving back intake throughput. CI gates both.
+  const ScalePoint& ll_twin = FindPoint(points, "8-ll-batch");
   const ScalePoint& adapt = FindPoint(points, "8-adapt");
   const double adapt_rt_ratio =
       ll_twin.mean_rt > 0.0 ? adapt.mean_rt / ll_twin.mean_rt : 1.0;
@@ -1047,12 +991,8 @@ int main() {
       .Add("mono_parity_exact", mono_parity)
       .Add("parallel_parity_exact", parallel_parity)
       .Add("thread_determinism_exact", thread_determinism)
-      .Add("ll_serial_wall_seconds", ll_base.wall_seconds)
-      .Add("relaxed_8shard_4t_wall_seconds", relaxed_wall_4t)
-      .Add("speedup_relaxed_4threads", relaxed_speedup_4t)
-      .Add("speedup_relaxed_best", relaxed_speedup_best)
-      .Add("relaxed_counters_conserved", relaxed_counters_conserved)
-      .Add("relaxed_rt_within_tolerance", relaxed_rt_within_tolerance)
+      .Add("ll_serial_wall_seconds",
+           FindPoint(points, "8-ll-serial").wall_seconds)
       .Add("churn_parity_exact", churn_parity)
       .Add("churn_repartitioned", churn_repartitioned)
       .Add("churn_throughput_ratio", churn_throughput_ratio)
@@ -1152,8 +1092,7 @@ int main() {
   }
 
   return mono_parity && obs_transparent_pin && parallel_parity &&
-                 thread_determinism && relaxed_counters_conserved &&
-                 relaxed_rt_within_tolerance && churn_parity &&
+                 thread_determinism && churn_parity &&
                  churn_repartitioned && chaos_zero_lost && chaos_parity &&
                  chaos_active && speedup8 >= 2.0 && pooled_parity &&
                  topo_parity && gossip_budget_ok && memory_ratio_ok &&

@@ -4,16 +4,15 @@
 // sharded mediation tier instead of the mono-mediator: 8 mediators over a
 // consistent-hash partition of 200 providers, least-loaded routing fed by
 // periodic load-report gossip over the simulated network, and re-routing
-// when a shard's candidate set is empty or saturated. A coda reruns the
-// same fleet wall-clock-parallel under relaxed parity (per-consumer
-// sequence locks let least-loaded routing run on worker threads).
+// when a shard's candidate set is empty or saturated. Least-loaded routing
+// runs serial only: a wall-clock-parallel run needs consumer-affine routing
+// (examples/churn_rebalance.cpp shows one).
 //
 //   $ ./build/sharded_grid
 
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <thread>
 
 #include "core/sqlb_method.h"
 #include "runtime/scenario_engine.h"
@@ -95,29 +94,5 @@ int main() {
   std::printf("\nconsumer allocation satisfaction (final): %.3f\n",
               allocsat->samples.back().second);
 
-  // 6. The same fleet, wall-clock-parallel: strict parity would reject
-  //    least-loaded routing (one consumer's queries may mediate on several
-  //    shards inside an epoch), so opt into relaxed parity — per-consumer
-  //    sequence locks, counters conserved exactly, bounded drift in the
-  //    time/satisfaction aggregates.
-  shard::ShardedSystemConfig relaxed = config;
-  relaxed.rerouting_enabled = false;  // a mid-epoch bounce would couple lanes
-  relaxed.worker_threads = std::max(2u, std::thread::hardware_concurrency());
-  relaxed.parity = shard::ParityMode::kRelaxed;
-  Config relaxed_config;
-  relaxed_config.mode = Mode::kSharded;
-  relaxed_config.sharded = relaxed;
-  const shard::ShardedRunResult parallel =
-      Service::Create(relaxed_config, [](std::uint32_t) {
-        return std::make_unique<SqlbMethod>();
-      })->Run();
-  std::printf(
-      "\n%s-parity rerun on %zu worker threads: issued %llu, "
-      "completed %llu, mean rt %.2f s, lock contention %llu\n",
-      ParityModeName(relaxed.parity), relaxed.worker_threads,
-      static_cast<unsigned long long>(parallel.run.queries_issued),
-      static_cast<unsigned long long>(parallel.run.queries_completed),
-      parallel.run.response_time.mean(),
-      static_cast<unsigned long long>(parallel.consumer_lock_contention));
   return 0;
 }

@@ -5,11 +5,11 @@
 #include <vector>
 
 /// \file
-/// Host CPU topology for placement-aware worker pinning. The legacy
-/// pin_threads mode round-robins workers over logical CPUs 1..hw-1 blindly
-/// — on a multi-socket or SMT host that interleaves lane workers across
-/// sockets and doubles them onto hyperthread siblings before physical
-/// cores are exhausted. This module reads the kernel's topology export
+/// Host CPU topology for placement-aware worker pinning. A blind
+/// round-robin over logical CPUs 1..hw-1 would, on a multi-socket or SMT
+/// host, interleave lane workers across sockets and double them onto
+/// hyperthread siblings before physical cores are exhausted. This module
+/// reads the kernel's topology export
 /// (/sys/devices/system/cpu/cpu*/topology) and orders logical CPUs so
 /// that:
 ///
@@ -22,7 +22,7 @@
 ///
 /// Detection degrades gracefully: when /sys is absent (non-Linux,
 /// containers with masked sysfs) every CPU reports socket 0 / distinct
-/// cores, and the placement order collapses to the legacy round-robin
+/// cores, and the placement order collapses to that plain round-robin
 /// sequence.
 
 namespace sqlb::des {

@@ -38,8 +38,7 @@ WorkerPool::WorkerPool(std::size_t concurrency,
   const unsigned hardware = std::thread::hardware_concurrency();
 
   // Topology-aware placement order, computed once. Empty when the mode is
-  // off or the host has a single usable CPU; the legacy round-robin covers
-  // those cases.
+  // off or the host has a single CPU: then no worker is pinned.
   std::vector<unsigned> placement;
   HwTopology topo;
   if (options.topology_aware && hardware > 1) {
@@ -56,12 +55,6 @@ WorkerPool::WorkerPool(std::size_t concurrency,
         ++pinned_workers_;
         thread_sockets_[rank] = topo.SocketOf(cpu);
       }
-    } else if ((options.pin_threads || options.topology_aware) &&
-               hardware > 1) {
-      // Round-robin over cores 1..hw-1, leaving core 0 to the (unpinned)
-      // calling thread; on a single-core host there is nothing to spread.
-      const std::size_t core = 1 + (i % (hardware - 1));
-      if (PinThreadToCore(workers_.back(), core)) ++pinned_workers_;
     }
   }
 }

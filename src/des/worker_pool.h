@@ -19,21 +19,15 @@
 namespace sqlb::des {
 
 struct WorkerPoolOptions {
-  /// Pin each spawned worker to one CPU core (round-robin over the host's
-  /// cores, skipping core 0 for the calling thread). Opt-in and
-  /// Linux-only — silently inert on other platforms and on hosts with a
-  /// single core. First step of the NUMA roadmap item: a pinned lane
-  /// worker stops migrating, so its shard's working set stays in one
-  /// core's cache. The calling thread is never pinned (it belongs to the
-  /// application).
-  bool pin_threads = false;
-
-  /// Placement-aware pinning (des/hw_topo.h): instead of the blind
-  /// round-robin above, workers are pinned along the detected topology's
-  /// placement order — every physical core before any SMT sibling, one
-  /// socket filled before the next — so adjacent workers share a socket's
-  /// cache and memory controller. Implies pinning; falls back to the
-  /// legacy order when /sys topology is unreadable.
+  /// Placement-aware pinning (des/hw_topo.h): each spawned worker is pinned
+  /// to one CPU along the detected topology's placement order — every
+  /// physical core before any SMT sibling, one socket filled before the
+  /// next, CPU 0 left to the calling thread — so a lane worker stops
+  /// migrating and adjacent workers share a socket's cache and memory
+  /// controller. When /sys topology is unreadable the order is a plain
+  /// round-robin over CPUs 1..hw-1. Opt-in and Linux-only — silently inert
+  /// on other platforms and on hosts with a single CPU. The calling thread
+  /// is never pinned (it belongs to the application).
   bool topology_aware = false;
 
   /// Deterministic index->thread schedule for ParallelFor: index i always

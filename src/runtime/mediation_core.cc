@@ -254,11 +254,6 @@ MediationCore::Outcome MediationCore::Allocate(
   ConsumerAgent& consumer = (*shared_.consumers)[query.consumer.index()];
   const SimTime now = sim.Now();
 
-  // Relaxed-parity lanes: everything from the intention gathering below
-  // through ApplyDecision's consumer characterization reads and writes this
-  // consumer's window, so the whole mediation holds its sequence lock.
-  const des::SeqLockTable::Guard consumer_guard = LockConsumer(query.consumer);
-
   GatherCandidates(query, pq, now, &scratch_columns_, &scratch_provider_pref_);
 
   // Lines 6-10: the method scores, ranks and selects (over the contiguous
@@ -422,8 +417,6 @@ void MediationCore::AllocateBatch(des::Simulator& sim,
   for (std::size_t q = 0; q < queries.size(); ++q) {
     const Query& query = queries[q];
     ConsumerAgent& consumer = (*shared_.consumers)[query.consumer.index()];
-    const des::SeqLockTable::Guard consumer_guard =
-        LockConsumer(query.consumer);
     GatherCandidates(query, pq, now, &batch_columns_[q],
                      &batch_provider_prefs_[q]);
     batch_requests_[q].query = &query;
@@ -436,11 +429,8 @@ void MediationCore::AllocateBatch(des::Simulator& sim,
                                 batch_decisions_.data());
 
   // Apply per query, in burst order (dispatch, windows, characterization —
-  // identical to the tail of Allocate()). ApplyDecision writes the query's
-  // consumer window, so each application holds that consumer's lock.
+  // identical to the tail of Allocate()).
   for (std::size_t q = 0; q < queries.size(); ++q) {
-    const des::SeqLockTable::Guard consumer_guard =
-        LockConsumer(queries[q].consumer);
     (*outcomes)[q] =
         ApplyDecision(sim, queries[q], batch_columns_[q],
                       batch_provider_prefs_[q], batch_decisions_[q]);
@@ -499,7 +489,6 @@ void MediationCore::OnQueryCompleted(const Query& query, ProviderId performer,
   }
 
   ConsumerAgent& consumer = (*shared_.consumers)[query.consumer.index()];
-  const des::SeqLockTable::Guard consumer_guard = LockConsumer(query.consumer);
   consumer.OnResult(response_time);
 }
 

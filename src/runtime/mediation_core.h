@@ -8,7 +8,6 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "core/allocation.h"
-#include "des/seqlock.h"
 #include "des/simulator.h"
 #include "matchmaking/matchmaker.h"
 #include "mem/agent_arena.h"
@@ -90,14 +89,6 @@ class MediationCore {
     /// This core's hot-path histogram registry (the shard's lane registry),
     /// or null when histograms are off. Same single-writer discipline.
     obs::MetricsRegistry* metrics = nullptr;
-    /// When non-null (relaxed-parity parallel execution), every lane-side
-    /// consumer-agent access — intention gathering, allocation
-    /// characterization, completion results — runs inside the consumer's
-    /// sequence lock, so load-aware routing may mediate one consumer on
-    /// several shards concurrently. Null under serial execution and under
-    /// strict parity's consumer-affine routing, where the accesses are
-    /// single-threaded by construction.
-    des::SeqLockTable* consumer_locks = nullptr;
     /// This core's agent arena (the owning lane's pooled chunk source), or
     /// null when agent pooling is disabled. Members admitted, imported or
     /// restored onto this core are re-homed on it (SetArena); their
@@ -375,16 +366,9 @@ class MediationCore {
   void OnQueryCompleted(const Query& query, ProviderId performer,
                         SimTime completion_time);
   void DepartProvider(std::size_t index, DepartureReason reason, SimTime now);
-  /// Enters the consumer's critical section when a lock table is wired
-  /// (relaxed-parity lanes); a no-op guard otherwise.
-  des::SeqLockTable::Guard LockConsumer(ConsumerId id) {
-    return shared_.consumer_locks != nullptr
-               ? shared_.consumer_locks->Acquire(id.index())
-               : des::SeqLockTable::Guard();
-  }
   /// Fills `columns`/`prefs` with the per-query candidate gather for
   /// `query` over `pq` at `now`, reading the query-independent fields from
-  /// the characterization cache. The caller holds the consumer's lock.
+  /// the characterization cache.
   void GatherCandidates(const Query& query, const std::vector<ProviderId>& pq,
                         SimTime now, CandidateColumns* columns,
                         std::vector<double>* prefs);

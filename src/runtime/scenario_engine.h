@@ -186,8 +186,8 @@ class ScenarioEngine {
   obs::FlightRecorder& recorder() { return *recorder_; }
 
   /// The shared-state block a MediationCore needs, pointing into this
-  /// engine. Drivers set the per-core fields (`effects`, `consumer_locks`)
-  /// on top before constructing each core.
+  /// engine. Drivers set the per-core fields (`effects`, `trace`,
+  /// `metrics`, `arena`) on top before constructing each core.
   MediationCore::Shared CoreSharedState();
 
   /// RunResult::method_name (the engine cannot know it: methods are built

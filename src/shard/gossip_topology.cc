@@ -4,18 +4,6 @@
 
 namespace sqlb::shard {
 
-const char* GossipTopologyName(GossipTopologyKind kind) {
-  switch (kind) {
-    case GossipTopologyKind::kDirect:
-      return "direct";
-    case GossipTopologyKind::kHierarchical:
-      return "hierarchical";
-    case GossipTopologyKind::kAllToAll:
-      return "all-to-all";
-  }
-  return "?";
-}
-
 std::size_t GossipParentRank(std::size_t rank, std::size_t fanout) {
   SQLB_CHECK(rank > 0, "the tree root has no parent");
   SQLB_CHECK(fanout >= 1, "gossip fanout must be >= 1");

@@ -11,23 +11,18 @@
 /// The original design ships every shard's report straight to the router
 /// (kDirect): M messages per round, one hop each — fine at the paper's
 /// scale, and kept as the default because its byte-for-byte behaviour is
-/// part of the bit-identity pins. At fleet scale the interesting regimes
-/// are:
-///
-///  - kAllToAll: every shard broadcasts its report to every live peer and
-///    the router. Theta(M^2) messages per round — the naive full-mesh
-///    baseline bench/micro_gossip.cc measures against.
-///  - kHierarchical: live shards form a k-ary aggregation tree in rank
-///    order (rank = position in the ascending live-shard list). Each shard
-///    sends its report one hop up the tree; interior shards forward
-///    hop-by-hop (no buffering, no timers — forwarding is deterministic
-///    and latency-only) until the root, which hands reports to the router.
-///    A report from tree depth d costs d + 1 messages, so a round costs
-///    sum over ranks of (depth + 1) = O(M log_k M); with M = 64, k = 4
-///    that is 229 messages against the all-to-all's 4096. The price is
-///    staleness: each hop adds one network latency, which the existing
-///    gossip.staleness_seconds histogram surfaces (measured_at rides the
-///    report unchanged through every hop).
+/// part of the bit-identity pins. At fleet scale the alternative is
+/// kHierarchical: live shards form a k-ary aggregation tree in rank order
+/// (rank = position in the ascending live-shard list). Each shard sends its
+/// report one hop up the tree; interior shards forward hop-by-hop (no
+/// buffering, no timers — forwarding is deterministic and latency-only)
+/// until the root, which hands reports to the router. A report from tree
+/// depth d costs d + 1 messages, so a round costs sum over ranks of
+/// (depth + 1) = O(M log_k M); with M = 64, k = 4 that is 229 messages,
+/// where a full mesh (every shard to every peer and the router) would cost
+/// M^2 = 4096. The price is staleness: each hop adds one network latency,
+/// which the existing gossip.staleness_seconds histogram surfaces
+/// (measured_at rides the report unchanged through every hop).
 ///
 /// Dead shards are skipped by rank construction each round, so the tree
 /// heals itself on the next cadence; a report in flight toward a relay
@@ -41,11 +36,7 @@ enum class GossipTopologyKind : std::uint8_t {
   kDirect = 0,
   /// k-ary aggregation tree over the live shards; O(M log M) messages.
   kHierarchical = 1,
-  /// Full mesh; Theta(M^2) messages. Baseline for the micro bench.
-  kAllToAll = 2,
 };
-
-const char* GossipTopologyName(GossipTopologyKind kind);
 
 /// Parent of tree rank `rank` in a k-ary heap layout (rank 0 is the root;
 /// precondition rank > 0): (rank - 1) / fanout.
@@ -58,12 +49,6 @@ std::size_t GossipDepthOfRank(std::size_t rank, std::size_t fanout);
 /// rank's report travels depth hops to the root plus one hop to the
 /// router, so the total is sum_{r < live} (depth(r) + 1).
 std::size_t HierarchicalMessagesPerRound(std::size_t live, std::size_t fanout);
-
-/// Messages one all-to-all round costs: every live shard sends to its
-/// live - 1 peers and the router.
-inline std::size_t AllToAllMessagesPerRound(std::size_t live) {
-  return live * live;
-}
 
 /// The ascending list of live shard indices ("ranks"): rank r of the
 /// round's tree is `live[r]`. Rebuilt per round, which is how the tree

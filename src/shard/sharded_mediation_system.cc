@@ -54,11 +54,8 @@ class ShardedMediationSystem::GossipSink final : public msg::Node {
     (void)network;
     if (message.kind == kLoadReportKind) {
       // A report addressed to a shard (not the router-side sink) is an
-      // aggregation-tree hop: the shard forwards it one hop up (or, under
-      // all-to-all, is simply a broadcast recipient and folds it too).
-      if (message.to != system_->sink_address_ &&
-          system_->config_.gossip_topology ==
-              GossipTopologyKind::kHierarchical) {
+      // aggregation-tree hop: the shard forwards it one hop up.
+      if (message.to != system_->sink_address_) {
         system_->RelayLoadReport(system_->ShardOfAddress(message.to),
                                  message);
         return;
@@ -192,11 +189,6 @@ ShardedMediationSystem::ShardedMediationSystem(
       lane_sims_.push_back(std::make_unique<des::Simulator>());
     }
     effect_logs_.resize(num_shards);
-    if (ParallelRunNeedsConsumerLocks(config_.parity,
-                                      ParallelShapeOf(config_))) {
-      consumer_locks_ =
-          std::make_unique<des::SeqLockTable>(engine_.consumers().size());
-    }
   }
   batch_buffers_.resize(num_shards);
   flush_due_.assign(num_shards, -kSimTimeInfinity);
@@ -218,10 +210,8 @@ ShardedMediationSystem::ShardedMediationSystem(
     SQLB_CHECK(methods_.back() != nullptr, "method factory returned null");
     // In parallel mode each core sinks its cross-shard effects into its
     // own log, merged at epoch barriers; in serial mode it writes the
-    // shared sinks directly (bit-identical to PR 1). Relaxed parity adds
-    // the per-consumer sequence locks on every lane-side consumer access.
+    // shared sinks directly.
     shared.effects = parallel_ ? &effect_logs_[s] : nullptr;
-    shared.consumer_locks = consumer_locks_.get();
     // Each core records spans and histograms into its own shard lane, in
     // serial and parallel mode alike — the lane's record sequence is the
     // trace-determinism contract.
@@ -273,9 +263,8 @@ ShardedRunResult ShardedMediationSystem::Run() {
   SQLB_CHECK(!ran_, "ShardedMediationSystem::Run may only be called once");
   ran_ = true;
 
-  // The parity policy decides which configurations a parallel run admits —
-  // strict demands state-disjoint lanes, relaxed swaps that for the
-  // per-consumer sequence locks (shard/parity.h).
+  // The parity policy decides which configurations a parallel run admits:
+  // strict parity demands state-disjoint lanes (shard/parity.h).
   if (parallel_) {
     const Status admitted =
         ValidateParallelRun(config_.parity, ParallelShapeOf(config_));
@@ -361,10 +350,6 @@ ShardedRunResult ShardedMediationSystem::Run() {
   result_.net_injected_delays =
       metrics.CounterValue(obs::kMetricNetInjectedDelays);
 
-  if (consumer_locks_ != nullptr) {
-    result_.consumer_lock_contention = consumer_locks_->contended_acquires();
-  }
-
   // End-of-run agent-state residency: columns are layout-independent, the
   // per-agent term is where eager heap containers and lazy pooled chunks
   // diverge (the number the memory scale gate divides by the population).
@@ -385,7 +370,6 @@ void ShardedMediationSystem::Execute(des::Simulator& sim, SimTime duration) {
     return;
   }
   des::WorkerPoolOptions pool_options;
-  pool_options.pin_threads = config_.pin_worker_threads;
   pool_options.topology_aware = config_.topology_aware_workers;
   pool_options.static_schedule = config_.topology_aware_workers;
   des::WorkerPool pool(config_.worker_threads, pool_options);
@@ -798,22 +782,6 @@ void ShardedMediationSystem::SendLoadReports(des::Simulator& sim) {
         message.payload = report;
         gossip_load_messages_counter_->Inc();
         network_.Send(std::move(message));
-        break;
-      }
-      case GossipTopologyKind::kAllToAll: {
-        // Full mesh: the router plus every live peer hears every report
-        // first-hand. Theta(M^2) messages — the baseline the hierarchical
-        // topology exists to beat.
-        for (std::uint32_t t : live) {
-          msg::Message message;
-          message.from = shard_addresses_[s];
-          message.to = t == s ? sink_address_ : shard_addresses_[t];
-          message.kind = kLoadReportKind;
-          message.correlation = s;
-          message.payload = report;
-          gossip_load_messages_counter_->Inc();
-          network_.Send(std::move(message));
-        }
         break;
       }
     }

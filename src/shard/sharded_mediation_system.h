@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/allocation.h"
-#include "des/seqlock.h"
 #include "des/simulator.h"
 #include "msg/network.h"
 #include "runtime/batch_window.h"
@@ -24,8 +23,8 @@
 /// the provider population, as one configuration of the shared scenario
 /// driver (runtime/scenario_engine.h). The engine owns the population, the
 /// arrival pump, the metric probes and the departure schedule; this class
-/// supplies the policies — routing, batching, the execution substrate
-/// (serial kernel vs epoch-parallel lanes) and the parity mode.
+/// supplies the policies — routing, batching and the execution substrate
+/// (serial kernel vs epoch-parallel lanes).
 ///
 /// Cross-shard load visibility travels as periodic load-report gossip over
 /// the simulated network (msg/network.h), so the routing policies observe a
@@ -57,11 +56,10 @@ struct ShardedSystemConfig {
 
   /// How load reports travel (shard/gossip_topology.h): kDirect (default,
   /// byte-identical to the classic path — every shard straight to the
-  /// router, M messages/round), kHierarchical (k-ary aggregation tree over
-  /// the live shards, O(M log M) messages/round, one extra network latency
-  /// of staleness per hop), or kAllToAll (full mesh, Theta(M^2) — the
-  /// scaling baseline). Routing semantics are identical in all three; only
-  /// message count and report staleness differ.
+  /// router, M messages/round) or kHierarchical (k-ary aggregation tree
+  /// over the live shards, O(M log M) messages/round, one extra network
+  /// latency of staleness per hop). Routing semantics are identical in
+  /// both; only message count and report staleness differ.
   GossipTopologyKind gossip_topology = GossipTopologyKind::kDirect;
   /// Tree fanout k of the hierarchical topology.
   std::size_t gossip_fanout = 4;
@@ -91,32 +89,23 @@ struct ShardedSystemConfig {
   /// lanes run on a fixed pool of this many threads between barriers
   /// (gossip/probe/departure events), and the cross-shard sinks are merged
   /// deterministically at each barrier. Which configurations a parallel
-  /// run admits — and how far it may diverge from its serial twin — is the
-  /// parity policy below (shard/parity.h), checked by
+  /// run admits is the parity policy below (shard/parity.h), checked by
   /// sqlb::Config::Validate() and enforced at Run().
   std::size_t worker_threads = 0;
 
   /// What a parallel run promises relative to serial (shard/parity.h):
-  /// kStrict (default) is bit-identity and requires consumer-affine
-  /// routing; kRelaxed admits load-aware routing (least-loaded, hash) by
-  /// serializing lane-side consumer access through per-consumer sequence
-  /// locks, with bounded aggregate divergence. Ignored by serial runs.
+  /// kStrict, the only mode, is bit-identity and requires consumer-affine
+  /// routing. Ignored by serial runs.
   ParityMode parity = ParityMode::kStrict;
-
-  /// Pin each worker-pool thread to one CPU core (des/worker_pool.h) —
-  /// opt-in, Linux-only (silently inert elsewhere). First step of the
-  /// NUMA roadmap item: a pinned lane worker stops migrating between
-  /// cores, so a shard's working set stays in one core's cache.
-  bool pin_worker_threads = false;
 
   /// Topology-aware worker placement (des/hw_topo.h): pin lane workers
   /// along the host's detected CPU topology — physical cores before SMT
   /// siblings, one socket filled before the next — and run lanes on a
   /// static lane->thread schedule so each shard's arena pages stay on the
-  /// socket that first touched them. Supersedes pin_worker_threads when
-  /// set; falls back to the legacy round-robin pinning when /sys topology
-  /// is unreadable. Scheduling order within a lane is unchanged, so
-  /// strict parity holds exactly as with the atomic schedule.
+  /// socket that first touched them. Opt-in, Linux-only (silently inert
+  /// elsewhere); pins round-robin over CPUs 1..hw-1 when /sys topology is
+  /// unreadable. Scheduling order within a lane is unchanged, so strict
+  /// parity holds exactly as with the atomic schedule.
   bool topology_aware_workers = false;
 
   /// Seconds each shard coalesces arrivals before mediating them as one
@@ -195,9 +184,6 @@ struct ShardedRunResult {
   /// Hierarchical relay hops forwarded / dropped on a dead relay shard.
   std::uint64_t gossip_relay_forwards = 0;
   std::uint64_t gossip_relay_drops = 0;
-  /// Relaxed-parity runs: acquires that found a consumer's sequence lock
-  /// held by another lane (0 under strict parity and serial execution).
-  std::uint64_t consumer_lock_contention = 0;
 
   // --- Re-partitioning under churn -----------------------------------------
   /// Final partition-ring epoch (0 = the ring never changed).
@@ -462,8 +448,7 @@ class ShardedMediationSystem : private runtime::ScenarioEngine::Driver {
   bool adoption_retry_armed_ = false;
 
   // Epoch-parallel execution state (worker_threads > 0): one lane event
-  // queue and one effect log per shard, plus — under relaxed parity — the
-  // per-consumer sequence locks. Batch buffers exist in both modes
+  // queue and one effect log per shard. Batch buffers exist in both modes
   // (batch_window > 0); the per-shard flush scratch keeps lane threads from
   // sharing a burst vector.
   bool parallel_ = false;
@@ -471,7 +456,6 @@ class ShardedMediationSystem : private runtime::ScenarioEngine::Driver {
   bool batching_enabled_ = false;
   std::vector<std::unique_ptr<des::Simulator>> lane_sims_;
   std::vector<runtime::EffectLog> effect_logs_;
-  std::unique_ptr<des::SeqLockTable> consumer_locks_;
   /// One adaptive window controller per shard (empty when the adaptive
   /// mode is off). Updated only from coordinator events and barriers.
   std::vector<runtime::BatchWindowController> window_controllers_;

@@ -1,6 +1,5 @@
 #include "sqlb/service.h"
 
-#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -239,30 +238,6 @@ std::size_t Service::SubmitMany(runtime::ServingProducer* producer,
   SQLB_CHECK(config_.mode == Mode::kServing,
              "SubmitMany is serving-mode only");
   return serving_->SubmitMany(producer, requests, count);
-}
-
-std::size_t Service::SubmitBatch(runtime::ServingProducer* producer,
-                                 std::uint32_t consumer_index,
-                                 std::uint32_t class_index,
-                                 std::size_t count) {
-  SQLB_CHECK(config_.mode == Mode::kServing,
-             "SubmitBatch is serving-mode only");
-  // Identical requests all land on one shard, so feed the batched path in
-  // fixed-size chunks — each chunk costs one reservation and one tail
-  // exchange instead of one per query.
-  runtime::ServingRequest chunk[64];
-  for (auto& request : chunk) {
-    request.consumer = consumer_index;
-    request.class_index = class_index;
-  }
-  std::size_t accepted = 0;
-  while (accepted < count) {
-    const std::size_t n = std::min<std::size_t>(64, count - accepted);
-    const std::size_t got = serving_->SubmitMany(producer, chunk, n);
-    accepted += got;
-    if (got < n) break;
-  }
-  return accepted;
 }
 
 void Service::Drain() {

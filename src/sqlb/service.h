@@ -110,12 +110,6 @@ class Service {
   std::size_t SubmitMany(runtime::ServingProducer* producer,
                          const runtime::ServingRequest* requests,
                          std::size_t count);
-  /// Submits `count` identical requests through the batched path; returns
-  /// how many were accepted (stops at the first shed — the queue is full,
-  /// retrying inline would spin against backpressure).
-  std::size_t SubmitBatch(runtime::ServingProducer* producer,
-                          std::uint32_t consumer_index,
-                          std::uint32_t class_index, std::size_t count);
   /// Blocks until every accepted submission has been mediated. Call after
   /// the producers stopped submitting.
   void Drain();

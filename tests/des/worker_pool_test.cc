@@ -7,7 +7,6 @@
 #include <thread>
 #include <vector>
 
-#include "des/seqlock.h"
 #include "des/simulator.h"
 
 namespace sqlb::des {
@@ -59,7 +58,7 @@ TEST(WorkerPoolTest, CoreAffinityIsOptInAndDegradesGracefully) {
   EXPECT_EQ(unpinned.pinned_workers(), 0u);
 
   WorkerPoolOptions options;
-  options.pin_threads = true;
+  options.topology_aware = true;
   WorkerPool pinned(4, options);
   // At most the 3 spawned workers can pin; the exact count depends on the
   // host (single core, cpuset-restricted container, non-Linux platform all
@@ -75,40 +74,6 @@ TEST(WorkerPoolTest, CoreAffinityIsOptInAndDegradesGracefully) {
     hits[i].fetch_add(1, std::memory_order_relaxed);
   });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(SeqLockTableTest, GuardsSerializeCriticalSections) {
-  // Hammer two slots from a pool; the per-slot counters must never tear
-  // (every increment inside the lock is published to the next acquirer).
-  SeqLockTable locks(2);
-  long counters[2] = {0, 0};
-  WorkerPool pool(4);
-  constexpr int kRounds = 2000;
-  pool.ParallelFor(4 * kRounds, [&](std::size_t i) {
-    const std::size_t slot = i % 2;
-    const SeqLockTable::Guard guard = locks.Acquire(slot);
-    ++counters[slot];
-  });
-  EXPECT_EQ(counters[0] + counters[1], 4L * kRounds);
-  // Sequence counters: two increments per completed critical section.
-  EXPECT_EQ(locks.SequenceOf(0) + locks.SequenceOf(1),
-            2u * 4u * kRounds);
-}
-
-TEST(SeqLockTableTest, DefaultGuardIsANoOp) {
-  SeqLockTable::Guard guard;
-  EXPECT_FALSE(guard.holds_lock());
-
-  SeqLockTable locks(1);
-  {
-    SeqLockTable::Guard held = locks.Acquire(0);
-    EXPECT_TRUE(held.holds_lock());
-    // Move transfers ownership; the source must not double-release.
-    SeqLockTable::Guard moved = std::move(held);
-    EXPECT_TRUE(moved.holds_lock());
-    EXPECT_FALSE(held.holds_lock());
-  }
-  EXPECT_EQ(locks.SequenceOf(0), 2u);
 }
 
 TEST(LaneGroupTest, SyncDrainsEveryLaneToTheBarrier) {

@@ -217,119 +217,15 @@ TEST(ParallelExecutionTest, M1ParallelStillMatchesMonoMediator) {
   ExpectIdenticalRuns(mono_result, sharded.run);
 }
 
-// ---------------------------------------------------------------------------
-// Relaxed parity: load-aware routing on worker threads, bounded divergence.
-// ---------------------------------------------------------------------------
-
-/// The divergence bound the relaxed mode promises (shard/parity.h): load
-/// totals are conserved exactly; only same-epoch same-consumer mediation
-/// order may differ from serial, so the response-time and satisfaction
-/// aggregates may drift within these tolerances (measured headroom is
-/// ~5x: the observed drift is ~2% under hash routing and ~0 under
-/// least-loaded, whose stale load table keeps within-epoch routing
-/// constant).
-constexpr double kRelaxedRtTolerance = 0.10;        // relative, mean RT
-constexpr double kRelaxedAllocSatTolerance = 0.05;  // relative, final sample
-
-void ExpectRelaxedWithinBound(const ShardedRunResult& serial,
-                              const ShardedRunResult& relaxed) {
-  // Conserved exactly: the arrival stream is drawn on the coordinator from
-  // the same RNG stream, and every completion/infeasibility still merges
-  // deterministically from the per-lane effect logs.
-  EXPECT_EQ(relaxed.run.queries_issued, serial.run.queries_issued);
-  EXPECT_EQ(relaxed.run.queries_completed, relaxed.run.queries_issued);
-  EXPECT_EQ(serial.run.queries_completed, serial.run.queries_issued);
-  EXPECT_EQ(relaxed.run.queries_infeasible, 0u);
-  EXPECT_EQ(relaxed.run.remaining_providers, serial.run.remaining_providers);
-  EXPECT_EQ(relaxed.run.remaining_consumers, serial.run.remaining_consumers);
-  EXPECT_EQ(relaxed.run.response_time_all.count(),
-            serial.run.response_time_all.count());
-
-  // Bounded drift: aggregate quality within the documented tolerance.
-  const double rt_serial = serial.run.response_time.mean();
-  const double rt_relaxed = relaxed.run.response_time.mean();
-  EXPECT_NEAR(rt_relaxed, rt_serial, kRelaxedRtTolerance * rt_serial);
-
-  const auto* sat_serial = serial.run.series.Find(
-      runtime::ScenarioEngine::kSeriesConsAllocSatMean);
-  const auto* sat_relaxed = relaxed.run.series.Find(
-      runtime::ScenarioEngine::kSeriesConsAllocSatMean);
-  ASSERT_NE(sat_serial, nullptr);
-  ASSERT_NE(sat_relaxed, nullptr);
-  const double allocsat_serial = sat_serial->samples.back().second;
-  const double allocsat_relaxed = sat_relaxed->samples.back().second;
-  EXPECT_NEAR(allocsat_relaxed, allocsat_serial,
-              kRelaxedAllocSatTolerance * allocsat_serial);
-}
-
-/// A relaxed-parity parallel config over a load-aware routing policy —
-/// exactly what strict mode rejects.
-ShardedSystemConfig RelaxedConfig(const SystemConfig& base, std::size_t shards,
-                                  RoutingPolicy policy,
-                                  std::size_t threads) {
+TEST(ParallelExecutionDeathTest, LoadAwareRoutingIsRejected) {
+  // Strict parity needs state-disjoint lanes; least-loaded routing spreads
+  // one consumer across shards, so Run() refuses it.
   ShardedSystemConfig config;
-  config.base = base;
-  config.router.num_shards = shards;
-  config.router.policy = policy;
+  config.base = SmallConfig(0.8);
+  config.router.num_shards = 4;
+  config.router.policy = RoutingPolicy::kLeastLoaded;
   config.rerouting_enabled = false;
-  config.worker_threads = threads;
-  config.parity = ParityMode::kRelaxed;
-  return config;
-}
-
-TEST(RelaxedParityTest, LeastLoadedRoutingRunsOnWorkerThreadsWithinBound) {
-  ShardedSystemConfig serial =
-      RelaxedConfig(SmallConfig(0.8), 4, RoutingPolicy::kLeastLoaded, 0);
-  const ShardedRunResult serial_result =
-      RunShardedScenario(serial, SqlbFactory());
-
-  ShardedSystemConfig relaxed = serial;
-  relaxed.worker_threads = 2;
-  const ShardedRunResult relaxed_result =
-      RunShardedScenario(relaxed, SqlbFactory());
-
-  ExpectRelaxedWithinBound(serial_result, relaxed_result);
-}
-
-TEST(RelaxedParityTest, HashRoutingSpreadsConsumersAcrossLanesWithinBound) {
-  // Hash routing is the adversarial case for relaxed parity: one
-  // consumer's queries land on many shards inside one epoch, so the
-  // per-consumer sequence locks are genuinely contended.
-  ShardedSystemConfig serial =
-      RelaxedConfig(SmallConfig(0.8), 4, RoutingPolicy::kHash, 0);
-  const ShardedRunResult serial_result =
-      RunShardedScenario(serial, SqlbFactory());
-
-  ShardedSystemConfig relaxed = serial;
-  relaxed.worker_threads = std::max(2u, std::thread::hardware_concurrency());
-  const ShardedRunResult relaxed_result =
-      RunShardedScenario(relaxed, SqlbFactory());
-
-  ExpectRelaxedWithinBound(serial_result, relaxed_result);
-}
-
-TEST(RelaxedParityTest, RelaxedAffineRunStaysBitIdentical) {
-  // Under consumer-affine routing the sequence locks are semantically
-  // inert: a relaxed run must then reproduce the serial run bit for bit,
-  // which pins that the locks themselves change no result.
-  ShardedSystemConfig serial =
-      ParallelizableConfig(SmallConfig(0.8), 4);
-  const ShardedRunResult serial_result =
-      RunShardedScenario(serial, SqlbFactory());
-
-  ShardedSystemConfig relaxed = serial;
-  relaxed.worker_threads = 2;
-  relaxed.parity = ParityMode::kRelaxed;
-  const ShardedRunResult relaxed_result =
-      RunShardedScenario(relaxed, SqlbFactory());
-
-  ExpectIdenticalShardedRuns(serial_result, relaxed_result);
-}
-
-TEST(RelaxedParityDeathTest, StrictModeStillRejectsLoadAwareParallelRuns) {
-  ShardedSystemConfig config =
-      RelaxedConfig(SmallConfig(0.8), 4, RoutingPolicy::kLeastLoaded, 2);
-  config.parity = ParityMode::kStrict;
+  config.worker_threads = 2;
   EXPECT_DEATH(RunShardedScenario(config, SqlbFactory()),
                "consumer-affine");
 }

@@ -220,10 +220,7 @@ TEST(ServiceConfigTest, RejectsStrictParallelRunWithLoadAwareRouting) {
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(status.message().find("kLocality"), std::string::npos);
 
-  config.sharded.parity = shard::ParityMode::kRelaxed;
-  EXPECT_TRUE(config.Validate().ok());
   config.sharded.worker_threads = 0;  // serial runs admit every shape
-  config.sharded.parity = shard::ParityMode::kStrict;
   EXPECT_TRUE(config.Validate().ok());
 }
 
@@ -299,8 +296,6 @@ TEST(ServiceParityTest, MonoIgnoresEveryShardedFieldButBase) {
   s.saturation_backlog_seconds = 1.0;
   s.max_route_attempts = 0;
   s.worker_threads = 2;
-  s.parity = shard::ParityMode::kRelaxed;
-  s.pin_worker_threads = true;
   s.topology_aware_workers = true;
   s.batch_window = 0.5;
   s.adaptive_batch.enabled = true;
@@ -370,9 +365,9 @@ TEST(ServiceParityTest, ServingLifecycleWorksThroughTheFacade) {
 
   runtime::ServingProducer* producer = service->RegisterProducer();
   service->Start();
+  const std::vector<runtime::ServingRequest> requests(50);
   const std::size_t accepted =
-      service->SubmitBatch(producer, /*consumer_index=*/0,
-                           /*class_index=*/0, /*count=*/50);
+      service->SubmitMany(producer, requests.data(), requests.size());
   EXPECT_EQ(accepted, 50u);
   service->Drain();
   const runtime::ServingReport report = service->Stop();
@@ -401,8 +396,6 @@ TEST(ServiceModeDeathTest, SubmitPathsAreServingModeOnly) {
     EXPECT_DEATH(service->Submit(nullptr, 0, 0), "Submit is serving-mode only");
     EXPECT_DEATH(service->SubmitMany(nullptr, &request, 1),
                  "SubmitMany is serving-mode only");
-    EXPECT_DEATH(service->SubmitBatch(nullptr, 0, 0, 1),
-                 "SubmitBatch is serving-mode only");
   }
 }
 
