@@ -59,7 +59,10 @@ std::uint64_t BenchSeed(std::uint64_t fallback) {
 }
 
 std::string ResultsDirectory() {
-  return GetEnvString("SQLB_RESULTS", "results");
+  // Fast-mode drops go to a git-ignored subdirectory, so a scaled-down run
+  // never overwrites the committed full-size results.
+  return GetEnvString("SQLB_RESULTS",
+                      FastBenchMode() ? "results/fast" : "results");
 }
 
 }  // namespace sqlb

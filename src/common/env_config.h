@@ -12,7 +12,8 @@
 ///   SQLB_REPEAT  — repetition count override (default: per-bench)
 ///   SQLB_FAST    — when set to 1/true, benches shrink durations/populations
 ///   SQLB_SEED    — base RNG seed override
-///   SQLB_RESULTS — output directory for CSVs (default "results")
+///   SQLB_RESULTS — output directory for CSVs (default "results", or
+///                  "results/fast" under SQLB_FAST)
 
 namespace sqlb {
 
@@ -38,7 +39,8 @@ std::uint64_t BenchRepetitions(std::uint64_t fallback);
 /// Base seed: SQLB_SEED override or `fallback`.
 std::uint64_t BenchSeed(std::uint64_t fallback);
 
-/// Results directory: SQLB_RESULTS override or "results".
+/// Results directory: SQLB_RESULTS override, else "results/fast" under
+/// SQLB_FAST and "results" otherwise.
 std::string ResultsDirectory();
 
 }  // namespace sqlb

@@ -13,8 +13,7 @@ MediationCore::MediationCore(const Shared& shared, AllocationMethod* method,
                              std::vector<std::uint32_t> member_providers)
     : shared_(shared),
       method_(method),
-      active_providers_(std::move(member_providers)),
-      initial_members_(active_providers_.size()) {
+      active_providers_(std::move(member_providers)) {
   SQLB_CHECK(method_ != nullptr, "mediation core needs a method");
   SQLB_CHECK(shared_.config != nullptr && shared_.population != nullptr &&
                  shared_.providers != nullptr && shared_.consumers != nullptr &&

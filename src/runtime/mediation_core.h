@@ -2,6 +2,7 @@
 #define SQLB_RUNTIME_MEDIATION_CORE_H_
 
 #include <cstdint>
+#include <iterator>
 #include <unordered_map>
 #include <vector>
 
@@ -266,7 +267,6 @@ class MediationCore {
   std::size_t active_provider_count() const {
     return active_providers_.size();
   }
-  std::size_t initial_provider_count() const { return initial_members_; }
 
   /// Mean committed utilization over active members at `now` (the gossip
   /// load-report payload; > 1 under sustained overload).
@@ -274,9 +274,7 @@ class MediationCore {
   /// Mean seconds of queued work over active members.
   double MeanBacklogSeconds() const;
 
-  AllocationMethod* method() const { return method_; }
   std::uint64_t allocated_queries() const { return allocated_queries_; }
-  std::uint64_t pending_responses() const { return pending_.size(); }
 
   // --- Event-driven characterization cache ---------------------------------
 
@@ -395,7 +393,6 @@ class MediationCore {
   /// Global indices of still-active member providers (swap-removed on
   /// departure).
   std::vector<std::uint32_t> active_providers_;
-  std::size_t initial_members_ = 0;
 
   std::unordered_map<QueryId, PendingResponse> pending_;
   std::uint64_t allocated_queries_ = 0;
@@ -481,12 +478,19 @@ class DecisionLog {
   };
 
   void Append(Record record) { records_.push_back(std::move(record)); }
-  /// Concatenates `other`'s records onto this log. The serving tier's
-  /// Stop() folds the per-group logs with this, in group order, so the
-  /// merged stream is the deterministic group-order concatenation.
-  void AppendAll(const DecisionLog& other) {
-    records_.insert(records_.end(), other.records_.begin(),
-                    other.records_.end());
+  /// Moves `other`'s records onto the end of this log, leaving `other`
+  /// empty. The serving tier folds the per-group logs with this, in group
+  /// order, so the merged stream is the deterministic group-order
+  /// concatenation.
+  void AppendAll(DecisionLog&& other) {
+    if (records_.empty()) {
+      records_ = std::move(other.records_);
+    } else {
+      records_.insert(records_.end(),
+                      std::make_move_iterator(other.records_.begin()),
+                      std::make_move_iterator(other.records_.end()));
+    }
+    other.records_.clear();
   }
   const std::vector<Record>& records() const { return records_; }
   std::size_t size() const { return records_.size(); }

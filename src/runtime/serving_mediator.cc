@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <ctime>
-#include <iterator>
 #include <string>
 #include <utility>
 
@@ -14,39 +13,6 @@
 namespace sqlb::runtime {
 
 namespace {
-
-/// Bursts that never reach ApplyDecision (empty candidate set, saturation
-/// bounce) still need decision records — appended at the call site, by the
-/// recorder and the replayer alike, so the two logs stay comparable.
-void AppendCallSiteRecords(const std::vector<Query>& burst,
-                           const std::vector<MediationCore::Outcome>& outcomes,
-                           DecisionLog* log) {
-  if (log == nullptr) return;
-  for (std::size_t i = 0; i < burst.size(); ++i) {
-    if (outcomes[i] != MediationCore::Outcome::kNoCandidates &&
-        outcomes[i] != MediationCore::Outcome::kSaturated) {
-      continue;  // ApplyDecision already recorded it in-core
-    }
-    DecisionLog::Record record;
-    record.query = burst[i].id;
-    record.outcome = outcomes[i];
-    log->Append(std::move(record));
-  }
-}
-
-/// Shard membership of the serving partition: provider p -> shard
-/// p % shards, initial holdouts excluded. The replayer must build the
-/// identical partition, so both go through here.
-std::vector<std::vector<std::uint32_t>> PartitionProviders(
-    const ScenarioEngine& engine, std::size_t shards) {
-  std::vector<std::vector<std::uint32_t>> members(shards);
-  const std::vector<ProviderAgent>& providers = engine.providers();
-  for (std::uint32_t p = 0; p < providers.size(); ++p) {
-    if (engine.held_out()[p]) continue;
-    members[p % shards].push_back(p);
-  }
-  return members;
-}
 
 /// Holds in_submit_ non-zero for the duration of one Submit/SubmitMany
 /// call, so Stop() can wait out every in-flight producer after closing the
@@ -121,8 +87,12 @@ ServingMediator::ServingMediator(const SystemConfig& config,
     groups_.push_back(std::move(group));
   }
 
-  std::vector<std::vector<std::uint32_t>> members =
-      PartitionProviders(engine_, serving_.shards);
+  // Provider p is a member of shard p % shards. Serving scripts no churn,
+  // so no provider is held out of the initial partition.
+  std::vector<std::vector<std::uint32_t>> members(serving_.shards);
+  for (std::uint32_t p = 0; p < engine_.providers().size(); ++p) {
+    members[p % serving_.shards].push_back(p);
+  }
   obs::FlightRecorder& recorder = engine_.recorder();
   for (std::uint32_t s = 0; s < serving_.shards; ++s) {
     GroupState& group = GroupOfShard(s);
@@ -506,7 +476,35 @@ void ServingMediator::FlushShard(GroupState& group, std::uint32_t shard,
                                  SimTime now) {
   ShardState& state = *shards_[shard];
   const Clock::time_point flush_wall = Clock::now();
+  if (serving_.record_trace) {
+    ServingBurst burst;
+    burst.shard = shard;
+    burst.flush_time = now;
+    burst.first = group.trace.queries.size();
+    burst.count = state.buffer.size();
+    group.trace.bursts.push_back(burst);
+    group.trace.queries.insert(group.trace.queries.end(),
+                               state.buffer.begin(), state.buffer.end());
+  }
+  MediateBurst(group, shard, now);
+  // Per-(producer, group) wall latency + the closed-loop mediated ack.
+  for (const auto& [enqueue_wall, producer_index] : state.meta) {
+    ServingProducer& producer = *producers_[producer_index];
+    producer.group_wall_[group.index].Record(
+        std::chrono::duration<double>(flush_wall - enqueue_wall).count());
+    producer.mediated_.fetch_add(1, std::memory_order_release);
+  }
+  served_.fetch_add(state.buffer.size(), std::memory_order_release);
 
+  state.buffer.clear();
+  state.meta.clear();
+  state.outcomes.clear();
+  state.earliest_arrival = kSimTimeInfinity;
+}
+
+void ServingMediator::MediateBurst(GroupState& group, std::uint32_t shard,
+                                   SimTime now) {
+  ShardState& state = *shards_[shard];
   // Every query in the burst is issued now, and recorded as an intake
   // trace exactly like the DES pump's arrivals — on the query's own shard
   // lane, so the record stays single-writer under group threading.
@@ -518,50 +516,38 @@ void ServingMediator::FlushShard(GroupState& group, std::uint32_t shard,
                           static_cast<double>(query.consumer.index()));
     }
   }
-  if (serving_.record_trace) {
-    ServingBurst burst;
-    burst.shard = shard;
-    burst.flush_time = now;
-    burst.first = group.trace.queries.size();
-    burst.count = state.buffer.size();
-    group.trace.bursts.push_back(burst);
-    group.trace.queries.insert(group.trace.queries.end(),
-                               state.buffer.begin(), state.buffer.end());
-  }
 
   cores_[shard]->AllocateBatch(group.sim, state.buffer, 0.0, &state.outcomes);
-  AppendCallSiteRecords(
-      state.buffer, state.outcomes,
-      serving_.record_trace ? &group.trace.decisions : nullptr);
 
   for (std::size_t i = 0; i < state.buffer.size(); ++i) {
     const Query& query = state.buffer[i];
-    if (state.outcomes[i] != MediationCore::Outcome::kAllocated) {
+    const MediationCore::Outcome outcome = state.outcomes[i];
+    if (outcome != MediationCore::Outcome::kAllocated) {
       ++group.result.queries_infeasible;
       if (lane != nullptr && lane->SamplesQuery(query.id)) {
         lane->RecordInstant(obs::SpanKind::kReject, now, query.id,
-                            static_cast<double>(state.outcomes[i]));
+                            static_cast<double>(outcome));
       }
+    }
+    // ApplyDecision recorded the allocated and unallocated queries in-core;
+    // the ones that never reached it (empty candidate set, saturation
+    // bounce) get their decision record here, after the burst's in-core
+    // records.
+    if (serving_.record_trace &&
+        (outcome == MediationCore::Outcome::kNoCandidates ||
+         outcome == MediationCore::Outcome::kSaturated)) {
+      DecisionLog::Record record;
+      record.query = query.id;
+      record.outcome = outcome;
+      group.trace.decisions.Append(std::move(record));
     }
     if (batch_wait_hists_[shard] != nullptr) {
       batch_wait_hists_[shard]->Record(now - query.issue_time);
     }
-    // Per-(producer, group) wall latency + the closed-loop mediated ack.
-    ServingProducer& producer = *producers_[state.meta[i].second];
-    producer.group_wall_[group.index].Record(
-        std::chrono::duration<double>(flush_wall - state.meta[i].first)
-            .count());
-    producer.mediated_.fetch_add(1, std::memory_order_release);
   }
   flush_counters_[shard]->Inc();
   batched_query_counters_[shard]->Inc(state.buffer.size());
   ++group.bursts_flushed;
-  served_.fetch_add(state.buffer.size(), std::memory_order_release);
-
-  state.buffer.clear();
-  state.meta.clear();
-  state.outcomes.clear();
-  state.earliest_arrival = kSimTimeInfinity;
 }
 
 void ServingMediator::Housekeep(GroupState& group) {
@@ -601,7 +587,6 @@ ServingReport ServingMediator::Stop() {
   // still queued — repeatedly, since one drain pass stops at max_burst per
   // shard — flush it all, and complete in-flight provider service.
   const Clock::time_point end_wall = Clock::now();
-  wall_seconds_ = std::chrono::duration<double>(end_wall - t0_).count();
   const SimTime end_sim = SimNowFromWall(end_wall);
   for (auto& group : groups_) {
     group->sim.RunUntil(end_sim);
@@ -619,47 +604,23 @@ ServingReport ServingMediator::Stop() {
     // Fold the per-group latency parts in group order; associative, so the
     // merged histogram is independent of how groups interleaved in time.
     for (const obs::Histogram& part : producer->group_wall_) {
-      producer->intake_wall_.Merge(part);
+      report.intake_wall.Merge(part);
     }
-    report.intake_wall.Merge(producer->intake_wall_);
   }
   for (const auto& group : groups_) {
     report.bursts += group->bursts_flushed;
     report.idle_parks += group->idle_parks;
     report.spurious_wakes += group->spurious_wakes;
   }
-  report.wall_seconds = wall_seconds_;
+  report.wall_seconds =
+      std::chrono::duration<double>(end_wall - t0_).count();
 
-  // Merge the per-group trace segments in group order, recording the span
-  // boundaries so the replayer can re-drive each group independently.
-  for (const auto& group : groups_) {
-    ServingGroupSpan span;
-    span.first_shard = group->first_shard;
-    span.shard_count = group->shard_count;
-    span.query_begin = trace_.queries.size();
-    span.burst_begin = trace_.bursts.size();
-    span.decision_begin = trace_.decisions.size();
-    const std::size_t query_base = trace_.queries.size();
-    trace_.queries.insert(trace_.queries.end(), group->trace.queries.begin(),
-                          group->trace.queries.end());
-    for (ServingBurst burst : group->trace.bursts) {
-      burst.first += query_base;
-      trace_.bursts.push_back(burst);
-    }
-    trace_.decisions.AppendAll(group->trace.decisions);
-    span.query_end = trace_.queries.size();
-    span.burst_end = trace_.bursts.size();
-    span.decision_end = trace_.decisions.size();
-    trace_.groups.push_back(span);
-  }
-
-  // Finalization mirrors ScenarioEngine::Run: remaining counts, sealed
-  // spans, registries folded in fixed lane order. The per-producer
-  // histograms, the idle-parking tallies and the group threads' CPU time
-  // fold into the coordinator registry first so the merged snapshot
-  // carries them under canonical names.
-  obs::FlightRecorder& recorder = engine_.recorder();
-  obs::MetricsRegistry& coord = recorder.registry(recorder.coordinator_lane());
+  // The per-producer histograms, the idle-parking tallies and the group
+  // threads' CPU time fold into the coordinator registry before the
+  // registries merge, so the merged snapshot carries them under canonical
+  // names.
+  obs::MetricsRegistry& coord =
+      engine_.recorder().registry(engine_.recorder().coordinator_lane());
   coord.GetHistogram(obs::kMetricServingIntakeWall).Merge(report.intake_wall);
   coord.GetCounter(obs::kMetricServingIdleParks).Inc(report.idle_parks);
   coord.GetCounter(obs::kMetricServingSpuriousWakes)
@@ -668,14 +629,30 @@ ServingReport ServingMediator::Stop() {
   for (const auto& group : groups_) {
     mediator_cpu.Inc(group->cpu_ns);
   }
-  std::size_t active = 0;
-  for (const auto& core : cores_) {
-    active += core->active_provider_count();
-  }
+  report.run = FoldGroups(end_sim);
+  return report;
+}
+
+RunResult ServingMediator::FoldGroups(SimTime end) {
+  // Group order throughout: the trace streams concatenate, and the
+  // completion sinks' counter adds and Welford merges are associative.
   RunResult& result = engine_.result();
-  // Fold the group-local completion sinks, in group order (the counter
-  // adds and Welford merges are associative).
   for (const auto& group : groups_) {
+    ServingTrace& part = group->trace;
+    const std::size_t query_base = trace_.queries.size();
+    if (query_base == 0) {
+      trace_.queries = std::move(part.queries);
+    } else {
+      trace_.queries.insert(trace_.queries.end(), part.queries.begin(),
+                            part.queries.end());
+    }
+    for (ServingBurst burst : part.bursts) {
+      burst.first += query_base;
+      trace_.bursts.push_back(burst);
+    }
+    trace_.decisions.AppendAll(std::move(part.decisions));
+    part = ServingTrace();
+
     result.queries_issued += group->result.queries_issued;
     result.queries_completed += group->result.queries_completed;
     result.queries_infeasible += group->result.queries_infeasible;
@@ -683,136 +660,60 @@ ServingReport ServingMediator::Stop() {
     result.response_time.Merge(group->result.response_time);
     result.response_time_all.Merge(group->result.response_time_all);
   }
-  result.duration = end_sim;
+
+  // Finalization mirrors ScenarioEngine::Run: remaining counts, sealed
+  // spans, registries folded in fixed lane order.
+  std::size_t active = 0;
+  for (const auto& core : cores_) {
+    active += core->active_provider_count();
+  }
+  obs::FlightRecorder& recorder = engine_.recorder();
+  result.duration = end;
   result.remaining_providers = active;
   result.remaining_consumers = engine_.active_consumers().size();
   result.trace_spans = recorder.FinishSpans();
   result.trace_spans_dropped = recorder.DroppedSpans();
   result.metrics = recorder.MergedMetrics();
-  report.run = std::move(result);
-  return report;
+  return std::move(result);
 }
 
 ServingReplayResult ReplayServingTrace(
-    const SystemConfig& config, std::size_t shards,
+    const SystemConfig& config, const ServingConfig& serving,
     const ServingMediator::MethodFactory& factory, const ServingTrace& trace) {
-  SQLB_CHECK(shards >= 1, "replay needs at least one shard");
-  ServingReplayResult replay;
+  ServingConfig replaying = serving;
+  replaying.record_trace = true;  // the decision log is the replay's output
+  ServingMediator mediator(config, replaying, factory);
 
-  // Re-drive one group segment at a time. Groups never share providers or
-  // consumers (both are shard-affine and shards partition into groups), so
-  // each segment replays against a fresh engine exactly as its group
-  // evolved in the serving run: same initial agent state, same burst
-  // sequence, same DES completion order.
-  std::vector<ServingGroupSpan> spans = trace.groups;
-  if (spans.empty()) {
-    // Hand-built trace with no segmentation: treat it as one group over
-    // every shard (the single-thread tier's shape).
-    ServingGroupSpan span;
-    span.first_shard = 0;
-    span.shard_count = static_cast<std::uint32_t>(shards);
-    span.query_end = trace.queries.size();
-    span.burst_end = trace.bursts.size();
-    span.decision_end = trace.decisions.size();
-    spans.push_back(span);
-  }
-
-  bool first_span = true;
-  SimTime duration = 0.0;
-  std::size_t remaining_providers = 0;
-  for (const ServingGroupSpan& span : spans) {
-    SQLB_CHECK(span.first_shard + span.shard_count <= shards,
-               "group span exceeds the shard count");
-    ScenarioEngine engine(config, shards);
-    std::vector<std::vector<std::uint32_t>> members =
-        PartitionProviders(engine, shards);
-    obs::FlightRecorder& recorder = engine.recorder();
-    std::vector<std::unique_ptr<AllocationMethod>> methods;
-    std::vector<std::unique_ptr<MediationCore>> cores(shards);
-    for (std::uint32_t s = span.first_shard;
-         s < span.first_shard + span.shard_count; ++s) {
-      methods.push_back(factory(s));
-      SQLB_CHECK(methods.back() != nullptr, "method factory returned null");
-      MediationCore::Shared shared = engine.CoreSharedState();
-      shared.trace = recorder.trace_lane(s);
-      shared.metrics = recorder.hot_metrics(s);
-      shared.decisions = &replay.decisions;
-      cores[s] = std::make_unique<MediationCore>(
-          shared, methods.back().get(), std::move(members[s]));
-    }
-    engine.SetMethodName(methods[0]->name());
-
-    std::vector<Query> burst;
-    std::vector<MediationCore::Outcome> outcomes;
-    SimTime last_flush = 0.0;
-    for (std::size_t b = span.burst_begin; b < span.burst_end; ++b) {
-      const ServingBurst& recorded = trace.bursts[b];
-      SQLB_CHECK(recorded.first + recorded.count <= trace.queries.size(),
+  // One group at a time, each on its own DES, as the group threads ran:
+  // groups share no provider or consumer, so a group's bursts in trace
+  // order replay its serving run exactly — same initial agent state, same
+  // burst sequence, same DES completion order.
+  SimTime end = 0.0;
+  for (const auto& group : mediator.groups_) {
+    for (const ServingBurst& burst : trace.bursts) {
+      SQLB_CHECK(burst.shard < replaying.shards,
+                 ("replayed burst names unknown shard " +
+                  std::to_string(burst.shard) + " of " +
+                  std::to_string(replaying.shards))
+                     .c_str());
+      SQLB_CHECK(burst.first + burst.count <= trace.queries.size(),
                  "burst range out of trace bounds");
-      SQLB_CHECK(cores[recorded.shard] != nullptr,
-                 "burst shard outside its group span");
-      // Advance the DES to the recorded flush time: the completions that
-      // fired before this burst in the serving run fire here too, in the
-      // same (time, id) order, so provider state matches exactly.
-      engine.sim().RunUntil(recorded.flush_time);
-      last_flush = recorded.flush_time;
-      burst.assign(trace.queries.begin() + recorded.first,
-                   trace.queries.begin() + recorded.first + recorded.count);
-      obs::TraceLane* lane = recorder.trace_lane(recorded.shard);
-      for (const Query& query : burst) {
-        ++engine.result().queries_issued;
-        if (lane != nullptr && lane->SamplesQuery(query.id)) {
-          lane->RecordInstant(obs::SpanKind::kIntake, query.issue_time,
-                              query.id,
-                              static_cast<double>(query.consumer.index()));
-        }
-      }
-      cores[recorded.shard]->AllocateBatch(engine.sim(), burst, 0.0,
-                                           &outcomes);
-      AppendCallSiteRecords(burst, outcomes, &replay.decisions);
-      for (std::size_t i = 0; i < burst.size(); ++i) {
-        if (outcomes[i] != MediationCore::Outcome::kAllocated) {
-          ++engine.result().queries_infeasible;
-          if (lane != nullptr && lane->SamplesQuery(burst[i].id)) {
-            lane->RecordInstant(obs::SpanKind::kReject, recorded.flush_time,
-                                burst[i].id,
-                                static_cast<double>(outcomes[i]));
-          }
-        }
-      }
+      if (&mediator.GroupOfShard(burst.shard) != group.get()) continue;
+      // The completions that fired before this burst in the serving run
+      // fire here too, in the same (time, id) order.
+      group->sim.RunUntil(burst.flush_time);
+      mediator.shards_[burst.shard]->buffer.assign(
+          trace.queries.begin() + burst.first,
+          trace.queries.begin() + burst.first + burst.count);
+      mediator.MediateBurst(*group, burst.shard, burst.flush_time);
+      end = std::max(end, burst.flush_time);
     }
-    engine.sim().RunAll();
-
-    for (const auto& core : cores) {
-      if (core != nullptr) remaining_providers += core->active_provider_count();
-    }
-    duration = std::max(duration, last_flush);
-    RunResult& result = engine.result();
-    result.remaining_consumers = engine.active_consumers().size();
-    result.trace_spans = recorder.FinishSpans();
-    result.trace_spans_dropped = recorder.DroppedSpans();
-    result.metrics = recorder.MergedMetrics();
-    if (first_span) {
-      replay.run = std::move(result);
-      first_span = false;
-    } else {
-      // Group-order fold, mirroring the serve side's Stop().
-      replay.run.queries_issued += result.queries_issued;
-      replay.run.queries_completed += result.queries_completed;
-      replay.run.queries_infeasible += result.queries_infeasible;
-      replay.run.queries_reissued += result.queries_reissued;
-      replay.run.response_time.Merge(result.response_time);
-      replay.run.response_time_all.Merge(result.response_time_all);
-      replay.run.metrics.MergeFrom(result.metrics);
-      replay.run.trace_spans.insert(
-          replay.run.trace_spans.end(),
-          std::make_move_iterator(result.trace_spans.begin()),
-          std::make_move_iterator(result.trace_spans.end()));
-      replay.run.trace_spans_dropped += result.trace_spans_dropped;
-    }
+    group->sim.RunAll();
   }
-  replay.run.duration = duration;
-  replay.run.remaining_providers = remaining_providers;
+
+  ServingReplayResult replay;
+  replay.run = mediator.FoldGroups(end);
+  replay.decisions = std::move(mediator.trace_.decisions);
   return replay;
 }
 

@@ -70,12 +70,14 @@
 /// exactly).
 ///
 /// Determinism stays a replay-testing tool: every served query, burst and
-/// decision is recorded per group, the merged trace carries the group
-/// segmentation (ServingTrace::groups), and ReplayServingTrace re-drives
-/// each group's segment through its own DES oracle — the replay must
-/// reproduce the decision log bit-for-bit per group, hence merged
-/// (tests/runtime/serving_replay_test.cc pins this, plus the conservation
-/// identity completed + infeasible == issued on both sides).
+/// decision is recorded per group and merged in group order. A burst's
+/// shard names its group, so the trace needs no segmentation of its own.
+/// ReplayServingTrace builds a fresh, never-started ServingMediator and
+/// pushes each recorded burst through the same per-burst mediation the
+/// group threads run, one group at a time on that group's DES, then folds
+/// with Stop()'s fold. The replay must reproduce the decision log
+/// bit-for-bit (tests/runtime/serving_replay_test.cc pins this, plus the
+/// conservation identity completed + infeasible == issued on both sides).
 
 namespace sqlb::runtime {
 
@@ -130,31 +132,15 @@ struct ServingBurst {
   std::size_t count = 0;
 };
 
-/// One mediator group's segment of the merged trace: which contiguous
-/// shard range it owned and which [begin, end) slices of the merged
-/// queries/bursts/decisions streams it produced. Burst flush times are
-/// monotone *within* a span (each group had its own wall-tracked clock),
-/// not across spans — the replayer re-drives each span through its own DES.
-struct ServingGroupSpan {
-  std::uint32_t first_shard = 0;
-  std::uint32_t shard_count = 0;
-  std::size_t query_begin = 0;
-  std::size_t query_end = 0;
-  std::size_t burst_begin = 0;
-  std::size_t burst_end = 0;
-  std::size_t decision_begin = 0;
-  std::size_t decision_end = 0;
-};
-
 /// Everything a replay needs: the served queries verbatim (ids, issue
 /// times, units — wall arrival order is baked into them), the burst
-/// structure, the decision log the replay must reproduce, and the group
-/// segmentation (one span per mediator group, in group order).
+/// structure and the decision log the replay must reproduce. Streams are
+/// concatenated in group order; burst flush times never decrease within a
+/// group (each group had its own wall-tracked clock), but may across groups.
 struct ServingTrace {
   std::vector<Query> queries;
   std::vector<ServingBurst> bursts;
   DecisionLog decisions;
-  std::vector<ServingGroupSpan> groups;
 };
 
 /// What a serving run produced: the familiar RunResult (counters, metrics,
@@ -182,10 +168,18 @@ struct ServingReport {
   obs::Histogram intake_wall;
 };
 
+/// What a DES replay of a recorded serving run produced: its own decision
+/// log (compare with ServingTrace::decisions via DecisionLog::IdenticalTo)
+/// and the full RunResult for the conservation pins (folded by Stop()'s
+/// fold).
+struct ServingReplayResult {
+  RunResult run;
+  DecisionLog decisions;
+};
+
 /// One producer thread's registration. Submission runs through
 /// ServingMediator::Submit/SubmitMany; this handle carries the counters a
-/// closed-loop generator waits on and the per-thread wall-latency
-/// histograms.
+/// closed-loop generator waits on.
 class ServingProducer {
  public:
   /// Successful submissions from this producer.
@@ -200,10 +194,6 @@ class ServingProducer {
   }
   /// Closed-loop wait: spins (yielding) until mediated() >= n.
   void AwaitMediated(std::uint64_t n) const;
-  /// This producer's enqueue->mediation wall-latency histogram, folded
-  /// over its per-group histograms. Stable only after
-  /// ServingMediator::Stop() (the group threads write the parts).
-  const obs::Histogram& intake_wall() const { return intake_wall_; }
 
  private:
   friend class ServingMediator;
@@ -211,11 +201,11 @@ class ServingProducer {
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> shed_{0};
   std::atomic<std::uint64_t> mediated_{0};
-  /// One histogram per mediator group (sized at registration): group g's
-  /// thread is the only writer of group_wall_[g]. Stop() folds them into
-  /// intake_wall_ in group order.
+  /// This producer's enqueue->mediation wall latency, one histogram per
+  /// mediator group (sized at registration): group g's thread is the only
+  /// writer of group_wall_[g]. Stop() folds them into
+  /// ServingReport::intake_wall in group order.
   std::vector<obs::Histogram> group_wall_;
-  obs::Histogram intake_wall_;
 };
 
 /// One query request, as presented to SubmitMany.
@@ -283,13 +273,9 @@ class ServingMediator {
   /// in group order. Call once.
   ServingReport Stop();
 
-  /// The recorded replay trace (merged across groups, with
-  /// ServingTrace::groups carrying the segmentation). Stable after Stop().
+  /// The recorded replay trace, merged across groups in group order.
+  /// Stable after Stop().
   const ServingTrace& trace() const { return trace_; }
-
-  std::size_t shards() const { return shards_.size(); }
-  std::size_t mediator_threads() const { return groups_.size(); }
-  const ScenarioEngine& engine() const { return engine_; }
 
   /// Wall time an idle group keeps polling, after its last pass that did
   /// work ended, before it parks. Picked from a 200 us / 500 us / 1 ms
@@ -307,6 +293,11 @@ class ServingMediator {
 
  private:
   using Clock = std::chrono::steady_clock;
+
+  /// The replay drives a never-started mediator's groups and bursts itself.
+  friend ServingReplayResult ReplayServingTrace(
+      const SystemConfig& config, const ServingConfig& serving,
+      const MethodFactory& factory, const ServingTrace& trace);
 
   /// Largest same-shard run SubmitMany pushes in one reservation (the
   /// stack-buffer size of the batched enqueue).
@@ -352,7 +343,7 @@ class ServingMediator {
     /// folded into the engine result at Stop.
     RunResult result;
     WindowedMean response_window{500};
-    /// Group-local trace segment; concatenated in group order at Stop.
+    /// Group-local trace segment; FoldGroups moves it into trace_.
     ServingTrace trace;
     /// Per-group id counter: query id = local * num_groups + group index —
     /// globally unique, deterministic per group, and the plain sequence
@@ -379,7 +370,18 @@ class ServingMediator {
   /// Flushes the group's shards whose window elapsed (or buffer filled);
   /// `force` flushes everything non-empty. Returns bursts flushed.
   std::size_t FlushDue(GroupState& group, SimTime now, bool force);
+  /// Mediates the shard's buffer (MediateBurst) plus the wall-side work:
+  /// the trace's burst record, per-producer latency and mediated acks.
   void FlushShard(GroupState& group, std::uint32_t shard, SimTime now);
+  /// Mediates the shard's buffered burst at sim time `now` on the group's
+  /// DES: issue and reject accounting, AllocateBatch, the call-site
+  /// decision records and the batch counters. The serving flush and the
+  /// replay both go through here.
+  void MediateBurst(GroupState& group, std::uint32_t shard, SimTime now);
+  /// Folds the groups in group order: trace segments move into trace_, the
+  /// completion sinks into the engine result, which is finalized (duration
+  /// `end`, remaining counts, spans, merged registries) and returned.
+  RunResult FoldGroups(SimTime end);
   double WindowFor(const ShardState& state) const;
   /// Wall-cadence stand-in for the DES epoch barrier, per group.
   void Housekeep(GroupState& group);
@@ -412,7 +414,7 @@ class ServingMediator {
   std::size_t shards_per_group_ = 1;
   std::vector<std::unique_ptr<ServingProducer>> producers_;
 
-  /// The merged trace (built at Stop from the group segments).
+  /// The merged trace (FoldGroups moves the group segments in).
   ServingTrace trace_;
 
   std::atomic<bool> stop_{false};
@@ -427,8 +429,6 @@ class ServingMediator {
   bool started_ = false;
   bool stopped_ = false;
 
-  double wall_seconds_ = 0.0;
-
   // Hoisted observability handles (single-writer: the owning group's
   // thread, per shard).
   std::vector<obs::Counter*> flush_counters_;
@@ -437,28 +437,19 @@ class ServingMediator {
   std::vector<obs::TraceLane*> shard_trace_;
 };
 
-/// What a DES replay of a recorded serving run produced: its own decision
-/// log (compare with ServingTrace::decisions via DecisionLog::IdenticalTo)
-/// and the full RunResult for the conservation pins (group results folded
-/// in group order, mirroring the serve side).
-struct ServingReplayResult {
-  RunResult run;
-  DecisionLog decisions;
-};
-
-/// Replays `trace` through the DES, one group segment at a time: for each
-/// ServingGroupSpan it reconstructs the population and that group's
-/// per-shard cores exactly as ServingMediator did (same SystemConfig seed,
-/// same shard count, same method factory), then re-drives the span's
-/// recorded bursts at their recorded sim flush times through AllocateBatch
-/// on a fresh simulator. Decisions append in span order, so the merged
-/// replay log equals the recorded one iff every group's segment matches
-/// bit-for-bit. A trace with no spans (hand-built) is treated as one
-/// single-group span over all shards.
-ServingReplayResult ReplayServingTrace(const SystemConfig& config,
-                                       std::size_t shards,
-                                       const ServingMediator::MethodFactory& factory,
-                                       const ServingTrace& trace);
+/// Replays `trace` through the DES: builds a fresh, never-started
+/// ServingMediator from the recorded run's `config`, `serving` and
+/// `factory` (its decision log always on), then, group by group, advances
+/// the group's DES to each of its bursts' recorded flush time, loads the
+/// burst and mediates it as the group thread did, and completes the
+/// group's in-flight service. Stop()'s fold merges the groups, so the
+/// replay log equals the recorded one iff every group's decisions match
+/// bit-for-bit. Flush times must not decrease within a group; bursts of
+/// different groups may interleave in any order. Aborts on a burst naming
+/// an unknown shard or reaching past the recorded queries.
+ServingReplayResult ReplayServingTrace(
+    const SystemConfig& config, const ServingConfig& serving,
+    const ServingMediator::MethodFactory& factory, const ServingTrace& trace);
 
 }  // namespace sqlb::runtime
 

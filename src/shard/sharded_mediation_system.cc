@@ -751,40 +751,26 @@ void ShardedMediationSystem::SendLoadReports(des::Simulator& sim) {
                                   report.utilization);
     }
 
-    switch (config_.gossip_topology) {
-      case GossipTopologyKind::kDirect: {
-        msg::Message message;
-        message.from = shard_addresses_[s];
-        message.to = sink_address_;
-        message.kind = kLoadReportKind;
-        message.correlation = s;
-        message.payload = report;
-        gossip_load_messages_counter_->Inc();
-        network_.Send(std::move(message));
-        break;
-      }
-      case GossipTopologyKind::kHierarchical: {
-        // One hop up the round's aggregation tree; the root reports to the
-        // router directly. Interior hops happen at delivery time
-        // (RelayLoadReport), so every hop costs one network latency of
-        // added staleness — surfaced by gossip.staleness_seconds.
-        const auto rank_it = std::find(live.begin(), live.end(), s);
-        const std::size_t rank =
-            static_cast<std::size_t>(rank_it - live.begin());
-        msg::Message message;
-        message.from = shard_addresses_[s];
-        message.to = rank == 0
-                         ? sink_address_
-                         : shard_addresses_[live[GossipParentRank(
-                               rank, config_.gossip_fanout)]];
-        message.kind = kLoadReportKind;
-        message.correlation = s;
-        message.payload = report;
-        gossip_load_messages_counter_->Inc();
-        network_.Send(std::move(message));
-        break;
+    msg::Message message;
+    message.from = shard_addresses_[s];
+    message.to = sink_address_;
+    if (config_.gossip_topology == GossipTopologyKind::kHierarchical) {
+      // One hop up the round's aggregation tree; the root reports to the
+      // router directly. Interior hops happen at delivery time
+      // (RelayLoadReport), so every hop costs one network latency of added
+      // staleness — surfaced by gossip.staleness_seconds.
+      const std::size_t rank = static_cast<std::size_t>(
+          std::find(live.begin(), live.end(), s) - live.begin());
+      if (rank != 0) {
+        message.to = shard_addresses_[live[GossipParentRank(
+            rank, config_.gossip_fanout)]];
       }
     }
+    message.kind = kLoadReportKind;
+    message.correlation = s;
+    message.payload = report;
+    gossip_load_messages_counter_->Inc();
+    network_.Send(std::move(message));
   }
 
   // The retry half of loss tolerance: a shard still acknowledging an older
@@ -796,16 +782,7 @@ void ShardedMediationSystem::SendLoadReports(des::Simulator& sim) {
   for (std::uint32_t s = 0; s < cores_.size(); ++s) {
     if (router_.IsShardDead(s) || shard_epoch_seen_[s] >= epoch) continue;
     ring_retries_counter_->Inc();
-    RingUpdate update;
-    update.shard = s;
-    update.epoch = epoch;
-    msg::Message message;
-    message.from = sink_address_;
-    message.to = shard_addresses_[s];
-    message.kind = kRingUpdateKind;
-    message.correlation = epoch;
-    message.payload = update;
-    network_.Send(std::move(message));
+    SendRingUpdate(s, epoch);
   }
 }
 
@@ -1086,17 +1063,22 @@ void ShardedMediationSystem::AnnounceRingEpoch() {
     return;
   }
   for (std::uint32_t s = 0; s < cores_.size(); ++s) {
-    RingUpdate update;
-    update.shard = s;
-    update.epoch = epoch;
-    msg::Message message;
-    message.from = sink_address_;
-    message.to = shard_addresses_[s];
-    message.kind = kRingUpdateKind;
-    message.correlation = epoch;
-    message.payload = update;
-    network_.Send(std::move(message));
+    SendRingUpdate(s, epoch);
   }
+}
+
+void ShardedMediationSystem::SendRingUpdate(std::uint32_t shard,
+                                            std::uint64_t epoch) {
+  RingUpdate update;
+  update.shard = shard;
+  update.epoch = epoch;
+  msg::Message message;
+  message.from = sink_address_;
+  message.to = shard_addresses_[shard];
+  message.kind = kRingUpdateKind;
+  message.correlation = epoch;
+  message.payload = update;
+  network_.Send(std::move(message));
 }
 
 void ShardedMediationSystem::OnRingEpochSeen(std::uint32_t shard,

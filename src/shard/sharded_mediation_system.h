@@ -282,13 +282,9 @@ class ShardedMediationSystem : private runtime::ScenarioEngine::Driver {
   static constexpr const char* kSeriesShardActivePrefix = "shard.active.";
 
   // Introspection for tests.
-  std::size_t num_shards() const { return cores_.size(); }
-  const ShardRouter& router() const { return router_; }
   const runtime::MediationCore& core(std::size_t shard) const {
     return *cores_[shard];
   }
-  const Population& population() const { return engine_.population(); }
-  const msg::Network& network() const { return network_; }
 
  private:
   class GossipSink;  // router-side msg::Node ingesting load reports
@@ -353,6 +349,8 @@ class ShardedMediationSystem : private runtime::ScenarioEngine::Driver {
   /// Gossips the router's current ring epoch to every shard (or applies it
   /// immediately when gossip is disabled).
   void AnnounceRingEpoch();
+  /// Sends one ring-update message announcing `epoch` to `shard`.
+  void SendRingUpdate(std::uint32_t shard, std::uint64_t epoch);
   /// Delivery hook for ring-update gossip (called by the GossipSink).
   void OnRingEpochSeen(std::uint32_t shard, std::uint64_t epoch);
   /// Discards `provider`'s pending handoff, if any (its membership

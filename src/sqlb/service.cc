@@ -257,9 +257,8 @@ const runtime::ServingTrace& Service::trace() const {
 
 runtime::ServingReplayResult Service::Replay() const {
   SQLB_CHECK(config_.mode == Mode::kServing, "Replay is serving-mode only");
-  return runtime::ReplayServingTrace(config_.scenario(),
-                                     config_.serving.shards, factory_,
-                                     serving_->trace());
+  return runtime::ReplayServingTrace(config_.scenario(), config_.serving,
+                                     factory_, serving_->trace());
 }
 
 }  // namespace sqlb

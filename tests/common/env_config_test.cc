@@ -63,8 +63,13 @@ TEST_F(EnvConfigTest, BenchHelpers) {
   EXPECT_EQ(BenchRepetitions(2), 5u);
   SetEnv("SQLB_SEED", "99");
   EXPECT_EQ(BenchSeed(42), 99u);
+  SetEnv("SQLB_RESULTS", "");  // empty reads as unset
+  SetEnv("SQLB_FAST", "0");
+  EXPECT_EQ(ResultsDirectory(), "results");
   SetEnv("SQLB_FAST", "1");
   EXPECT_TRUE(FastBenchMode());
+  // Fast runs never write over the committed full-size results.
+  EXPECT_EQ(ResultsDirectory(), "results/fast");
   SetEnv("SQLB_RESULTS", "/tmp/sqlb_results");
   EXPECT_EQ(ResultsDirectory(), "/tmp/sqlb_results");
 }

@@ -93,7 +93,7 @@ TEST(ServingReplayTest, ReplayReproducesEveryDecisionBitForBit) {
   ASSERT_EQ(served.trace.decisions.size(), served.report.served);
 
   const ServingReplayResult replay = ReplayServingTrace(
-      scenario, serving.shards, SqlbFactory(), served.trace);
+      scenario, serving, SqlbFactory(), served.trace);
   std::string diff;
   EXPECT_TRUE(served.trace.decisions.IdenticalTo(replay.decisions, &diff))
       << diff;
@@ -119,7 +119,7 @@ TEST(ServingReplayTest, ConservationHoldsOnBothSidesOfTheOracle) {
   EXPECT_EQ(live.queries_issued, served.report.served);
 
   const ServingReplayResult replay = ReplayServingTrace(
-      scenario, serving.shards, SqlbFactory(), served.trace);
+      scenario, serving, SqlbFactory(), served.trace);
   EXPECT_EQ(replay.run.queries_completed + replay.run.queries_infeasible,
             replay.run.queries_issued);
   EXPECT_EQ(replay.run.queries_completed, live.queries_completed);
@@ -180,44 +180,40 @@ TEST(ServingReplayTest, ServingMetricsCarryTheIntakeHistogram) {
                    served.report.intake_wall.Quantile(0.99));
 }
 
-/// Checks the structural invariants of a merged multi-group trace: the
-/// spans cover the query/burst/decision streams as disjoint contiguous
-/// ranges in group order, every burst stays inside its span's shard range,
-/// and query ids are globally unique with the per-group residue.
-void CheckGroupSpans(const ServingTrace& trace, std::size_t mediator_threads,
-                     std::size_t shards) {
-  ASSERT_EQ(trace.groups.size(), mediator_threads);
+/// Checks the structural invariants of a merged multi-group trace: bursts
+/// come in group order (a burst's group is shard / (shards /
+/// mediator_threads)) with flush times that never decrease within a group,
+/// they cover the query stream contiguously, every query has one decision,
+/// and query ids are globally unique with their burst's group residue.
+void CheckGroupBursts(const ServingTrace& trace, std::size_t mediator_threads,
+                      std::size_t shards) {
   const std::size_t shards_per_group = shards / mediator_threads;
   std::size_t query_cursor = 0;
-  std::size_t burst_cursor = 0;
-  std::size_t decision_cursor = 0;
+  std::size_t group = 0;
+  SimTime last_flush = 0.0;
+  std::set<std::size_t> groups_seen;
   std::set<QueryId> seen_ids;
-  for (std::size_t g = 0; g < trace.groups.size(); ++g) {
-    const ServingGroupSpan& span = trace.groups[g];
-    EXPECT_EQ(span.first_shard, g * shards_per_group);
-    EXPECT_EQ(span.shard_count, shards_per_group);
-    EXPECT_EQ(span.query_begin, query_cursor);
-    EXPECT_EQ(span.burst_begin, burst_cursor);
-    EXPECT_EQ(span.decision_begin, decision_cursor);
-    query_cursor = span.query_end;
-    burst_cursor = span.burst_end;
-    decision_cursor = span.decision_end;
-    for (std::size_t b = span.burst_begin; b < span.burst_end; ++b) {
-      const ServingBurst& burst = trace.bursts[b];
-      EXPECT_GE(burst.shard, span.first_shard);
-      EXPECT_LT(burst.shard, span.first_shard + span.shard_count);
-      EXPECT_GE(burst.first, span.query_begin);
-      EXPECT_LE(burst.first + burst.count, span.query_end);
-    }
-    for (std::size_t q = span.query_begin; q < span.query_end; ++q) {
-      EXPECT_EQ(trace.queries[q].id % mediator_threads, g);
+  for (const ServingBurst& burst : trace.bursts) {
+    ASSERT_LT(burst.shard, shards);
+    const std::size_t burst_group = burst.shard / shards_per_group;
+    ASSERT_GE(burst_group, group) << "bursts out of group order";
+    if (burst_group != group) last_flush = 0.0;
+    group = burst_group;
+    groups_seen.insert(group);
+    EXPECT_GE(burst.flush_time, last_flush);
+    last_flush = burst.flush_time;
+    ASSERT_EQ(burst.first, query_cursor);
+    ASSERT_LE(burst.first + burst.count, trace.queries.size());
+    query_cursor += burst.count;
+    for (std::size_t q = burst.first; q < burst.first + burst.count; ++q) {
+      EXPECT_EQ(trace.queries[q].id % mediator_threads, group);
       EXPECT_TRUE(seen_ids.insert(trace.queries[q].id).second)
           << "duplicate query id " << trace.queries[q].id;
     }
   }
+  EXPECT_EQ(groups_seen.size(), mediator_threads);
   EXPECT_EQ(query_cursor, trace.queries.size());
-  EXPECT_EQ(burst_cursor, trace.bursts.size());
-  EXPECT_EQ(decision_cursor, trace.decisions.size());
+  EXPECT_EQ(trace.decisions.size(), trace.queries.size());
 }
 
 TEST(ServingReplayTest, MultiGroupRunReplaysEveryGroupBitForBit) {
@@ -230,20 +226,59 @@ TEST(ServingReplayTest, MultiGroupRunReplaysEveryGroupBitForBit) {
                                  /*per_producer=*/300);
 
   ASSERT_EQ(served.report.served, 4u * 300u);
-  CheckGroupSpans(served.trace, serving.mediator_threads, serving.shards);
+  CheckGroupBursts(served.trace, serving.mediator_threads, serving.shards);
 
   const RunResult& live = served.report.run;
   EXPECT_EQ(live.queries_completed + live.queries_infeasible,
             live.queries_issued);
 
   const ServingReplayResult replay = ReplayServingTrace(
-      scenario, serving.shards, SqlbFactory(), served.trace);
+      scenario, serving, SqlbFactory(), served.trace);
   std::string diff;
   EXPECT_TRUE(served.trace.decisions.IdenticalTo(replay.decisions, &diff))
       << diff;
   EXPECT_EQ(replay.run.queries_completed + replay.run.queries_infeasible,
             replay.run.queries_issued);
   EXPECT_EQ(replay.run.queries_completed, live.queries_completed);
+
+  // A trace only needs flush times that never decrease within a group: the
+  // bursts in wall order (a stable sort keeps each group's order) replay to
+  // the identical log. One closed-loop producer cycling through the
+  // consumers (shards 0,1,2,3,...) makes the two groups take turns, so the
+  // wall order is sure to interleave them. At this time scale a query's
+  // service (at most 150 units at 100/7 units/s, 10.5 sim s) takes at most
+  // ~10 us of wall time, so completions fire between the bursts and the
+  // replay must fire them at the recorded flush times too.
+  ServingConfig fast_clock = serving;
+  fast_clock.time_scale = 1e6;
+  const ServedRun alternating = Serve(scenario, fast_clock, /*producers=*/1,
+                                      /*per_producer=*/200,
+                                      /*closed_loop=*/true);
+  ASSERT_FALSE(alternating.trace.bursts.empty());
+  ASSERT_GT(alternating.trace.bursts.back().flush_time -
+                alternating.trace.bursts.front().flush_time,
+            30.0)
+      << "the run must outlast several service times";
+  ServingTrace interleaved = alternating.trace;
+  std::stable_sort(interleaved.bursts.begin(), interleaved.bursts.end(),
+                   [](const ServingBurst& a, const ServingBurst& b) {
+                     return a.flush_time < b.flush_time;
+                   });
+  const std::size_t shards_per_group =
+      serving.shards / serving.mediator_threads;
+  std::size_t group_changes = 0;
+  for (std::size_t b = 1; b < interleaved.bursts.size(); ++b) {
+    if (interleaved.bursts[b].shard / shards_per_group !=
+        interleaved.bursts[b - 1].shard / shards_per_group) {
+      ++group_changes;
+    }
+  }
+  ASSERT_GT(group_changes, 1u) << "the groups' bursts did not interleave";
+  const ServingReplayResult resorted = ReplayServingTrace(
+      scenario, fast_clock, SqlbFactory(), interleaved);
+  EXPECT_TRUE(
+      alternating.trace.decisions.IdenticalTo(resorted.decisions, &diff))
+      << diff;
 }
 
 TEST(ServingReplayTest, OneThreadPerShardReplaysExactly) {
@@ -257,9 +292,9 @@ TEST(ServingReplayTest, OneThreadPerShardReplaysExactly) {
                                  /*per_producer=*/200);
 
   ASSERT_EQ(served.report.served, 3u * 200u);
-  CheckGroupSpans(served.trace, serving.mediator_threads, serving.shards);
+  CheckGroupBursts(served.trace, serving.mediator_threads, serving.shards);
   const ServingReplayResult replay = ReplayServingTrace(
-      scenario, serving.shards, SqlbFactory(), served.trace);
+      scenario, serving, SqlbFactory(), served.trace);
   std::string diff;
   EXPECT_TRUE(served.trace.decisions.IdenticalTo(replay.decisions, &diff))
       << diff;
@@ -273,12 +308,10 @@ TEST(ServingReplayTest, SingleThreadTraceHasOneGroupAndDenseSequentialIds) {
   const ServedRun served = Serve(scenario, serving, /*producers=*/2,
                                  /*per_producer=*/200);
 
-  // mediator_threads defaults to 1: the trace carries exactly one span over
-  // every shard, and the id sequence is the single-thread tier's plain
-  // 0,1,2,... (sorted, since flush order across shards interleaves).
-  ASSERT_EQ(served.trace.groups.size(), 1u);
-  EXPECT_EQ(served.trace.groups[0].first_shard, 0u);
-  EXPECT_EQ(served.trace.groups[0].shard_count, serving.shards);
+  // mediator_threads defaults to 1: every burst belongs to the one group,
+  // and the id sequence is the single-thread tier's plain 0,1,2,...
+  // (sorted, since flush order across shards interleaves).
+  CheckGroupBursts(served.trace, 1, serving.shards);
   std::vector<QueryId> ids;
   for (const Query& query : served.trace.queries) ids.push_back(query.id);
   std::sort(ids.begin(), ids.end());
@@ -334,9 +367,10 @@ TEST(ServingReplayTest, SubmitManyDrivenRunReplaysExactly) {
   EXPECT_EQ(report.served, report.submitted);
   EXPECT_EQ(report.run.queries_completed + report.run.queries_infeasible,
             report.run.queries_issued);
-  CheckGroupSpans(mediator.trace(), serving.mediator_threads, serving.shards);
-  const ServingReplayResult replay = ReplayServingTrace(
-      scenario, serving.shards, SqlbFactory(), mediator.trace());
+  CheckGroupBursts(mediator.trace(), serving.mediator_threads,
+                   serving.shards);
+  const ServingReplayResult replay =
+      ReplayServingTrace(scenario, serving, SqlbFactory(), mediator.trace());
   std::string diff;
   EXPECT_TRUE(
       mediator.trace().decisions.IdenticalTo(replay.decisions, &diff))
@@ -355,10 +389,26 @@ TEST(ServingReplayTest, AdaptiveBatchingStillReplaysExactly) {
                                  /*per_producer=*/250);
   ASSERT_EQ(served.report.served, 1000u);
   const ServingReplayResult replay = ReplayServingTrace(
-      scenario, serving.shards, SqlbFactory(), served.trace);
+      scenario, serving, SqlbFactory(), served.trace);
   std::string diff;
   EXPECT_TRUE(served.trace.decisions.IdenticalTo(replay.decisions, &diff))
       << diff;
+}
+
+TEST(ServingReplayDeathTest, BurstsOutsideTheRecordedRunAreRefused) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const SystemConfig scenario = SmallScenario();
+  ServingConfig serving;
+  serving.shards = 4;
+  serving.mediator_threads = 2;
+  ServingTrace trace;
+  trace.queries.resize(1);
+  trace.bursts.push_back(ServingBurst{4, 0.0, 0, 1});
+  EXPECT_DEATH(ReplayServingTrace(scenario, serving, SqlbFactory(), trace),
+               "unknown shard 4 of 4");
+  trace.bursts[0] = ServingBurst{0, 0.0, 0, 2};
+  EXPECT_DEATH(ReplayServingTrace(scenario, serving, SqlbFactory(), trace),
+               "burst range out of trace bounds");
 }
 
 }  // namespace
