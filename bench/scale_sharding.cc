@@ -542,9 +542,9 @@ int main() {
   // Per-provider residency: the eager heap layout against the pooled SoA
   // layout on an identical 64-shard run. The query volume is pinned low —
   // every mediation proposes to all of its shard's candidates, so each
-  // provider's resident window grows ~24 B per query its shard sees; a
+  // provider's resident window grows ~16 B per query its shard sees; a
   // near-idle fleet is the provisioned-for-peak shape the pool exists for,
-  // and it keeps the eager layout's preallocated rings (the fixed ~13 KB)
+  // and it keeps the eager layout's preallocated rings (the fixed ~10 KB)
   // the dominant term.
   const runtime::SystemConfig mem_base =
       ScaleBase(/*providers=*/fast ? 16384 : 65536,

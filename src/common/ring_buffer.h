@@ -32,13 +32,14 @@ class RingBuffer {
   /// (when evicted != nullptr).
   bool Push(T value, T* evicted = nullptr) {
     if (size_ < capacity_) {
-      buffer_[(head_ + size_) % capacity_] = std::move(value);
+      // Only eviction at capacity moves head_ (Clear resets it): it is 0.
+      buffer_[size_] = std::move(value);
       ++size_;
       return false;
     }
     if (evicted != nullptr) *evicted = std::move(buffer_[head_]);
     buffer_[head_] = std::move(value);
-    head_ = (head_ + 1) % capacity_;
+    if (++head_ == capacity_) head_ = 0;
     return true;
   }
 
@@ -69,8 +70,7 @@ class RingBuffer {
   /// over a large candidate set eats one cache miss per ring without this.
   void PrefetchPushSlot() const {
 #if defined(__GNUC__) || defined(__clang__)
-    const std::size_t slot =
-        size_ < capacity_ ? (head_ + size_) % capacity_ : head_;
+    const std::size_t slot = size_ < capacity_ ? size_ : head_;
     __builtin_prefetch(&buffer_[slot], 1 /*write*/, 1);
 #endif
   }

@@ -110,7 +110,10 @@ struct CandidateColumnNeeds {
 /// The outcome: `selected` holds indices into request.candidates, best
 /// first, with size min(q.n, N). `scores` (aligned with candidates) records
 /// each method's internal ranking value for diagnostics and tests; methods
-/// for which "higher is better" does not apply (e.g. bid prices) negate.
+/// for which "higher is better" does not apply (e.g. bid prices) negate. A
+/// method may leave -infinity for a candidate it proved cannot be selected
+/// without scoring it (SQLB does); selected candidates always carry their
+/// real score.
 struct AllocationDecision {
   std::vector<std::size_t> selected;
   std::vector<double> scores;

@@ -1,6 +1,8 @@
 #include "core/scoring.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <limits>
 #include <numeric>
 
 #include "common/math_util.h"
@@ -31,26 +33,67 @@ double ProviderScore(double provider_intention, double consumer_intention,
            BoundedPow(1.0 - ci + epsilon, 1.0 - w));
 }
 
-void SqlbScoreColumns(const double* provider_intention,
-                      const double* consumer_intention,
-                      const double* provider_satisfaction, std::size_t count,
-                      double consumer_satisfaction, double epsilon,
-                      const double* fixed_omega, std::vector<double>* scores) {
-  scores->clear();
-  scores->reserve(count);
-  if (fixed_omega != nullptr) {
-    const double omega = *fixed_omega;
-    for (std::size_t i = 0; i < count; ++i) {
-      scores->push_back(ProviderScore(provider_intention[i],
-                                      consumer_intention[i], omega, epsilon));
-    }
-    return;
+namespace {
+
+// Relative widening of the pow-free bounds. Each pow is within 1 ULP and the
+// product rounds once, so an exact score sits within a few ULPs (~1e-15
+// relative) of the mean its bound brackets; 2^-40 (~9e-13) is far wider.
+constexpr double kBoundSlack = 0x1p-40;
+
+// An upper bound on ProviderScore(pi, ci, w, epsilon) for w in [0, 1]:
+// weighted AM >= weighted GM on the positive branch; on the negative one
+// the weighted GM of the two bases is at least the smaller base.
+double ScoreUpperBound(double pi, double ci, double w, double epsilon) {
+  if (pi > 0.0 && ci > 0.0) {
+    return (w * pi + (1.0 - w) * ci) * (1.0 + kBoundSlack);
   }
+  return -std::min(1.0 - pi + epsilon, 1.0 - ci + epsilon) *
+         (1.0 - kBoundSlack);
+}
+
+}  // namespace
+
+void SqlbRankColumns(const double* provider_intention,
+                     const double* consumer_intention,
+                     const double* provider_satisfaction, std::size_t count,
+                     double consumer_satisfaction, double epsilon,
+                     const double* fixed_omega, std::size_t k,
+                     std::vector<double>* scores,
+                     std::vector<std::size_t>* top) {
+  std::vector<double>& score_of = *scores;
+  std::vector<std::size_t>& best = *top;
+  score_of.assign(count, -std::numeric_limits<double>::infinity());
+  best.clear();
+  if (k == 0) return;
+  best.reserve(std::min(k, count));
+  double kth = 0.0;  // score_of[best.back()] once `best` holds k entries
   for (std::size_t i = 0; i < count; ++i) {
+    const double pi = provider_intention[i];
+    const double ci = consumer_intention[i];
+    const bool full = best.size() == k;
+    // Sign shortcut: a negative-branch score is below every positive one.
+    if (full && kth > 0.0 && !(pi > 0.0 && ci > 0.0)) continue;
     const double omega =
-        OmegaBalance(consumer_satisfaction, provider_satisfaction[i]);
-    scores->push_back(ProviderScore(provider_intention[i],
-                                    consumer_intention[i], omega, epsilon));
+        fixed_omega != nullptr
+            ? *fixed_omega
+            : OmegaBalance(consumer_satisfaction, provider_satisfaction[i]);
+    // Strict: a tie or a NaN bound is scored.
+    if (full &&
+        ScoreUpperBound(pi, ci, Clamp(omega, 0.0, 1.0), epsilon) < kth) {
+      continue;
+    }
+    const double score = ProviderScore(pi, ci, omega, epsilon);
+    score_of[i] = score;
+    // Candidates arrive in index order, so a later one loses every tie:
+    // it enters only above a strictly lower score, evicting the k-th.
+    if (full) {
+      if (!(score > kth)) continue;
+      best.pop_back();
+    }
+    std::size_t pos = best.size();
+    while (pos > 0 && score > score_of[best[pos - 1]]) --pos;
+    best.insert(best.begin() + static_cast<std::ptrdiff_t>(pos), i);
+    if (best.size() == k) kth = score_of[best.back()];
   }
 }
 

@@ -30,20 +30,25 @@ double OmegaBalance(double consumer_satisfaction,
 double ProviderScore(double provider_intention, double consumer_intention,
                      double omega, double epsilon = 1.0);
 
-/// Definition 9 over struct-of-arrays columns: fills `scores[i]` with
-/// ProviderScore(provider_intention[i], consumer_intention[i], omega_i,
-/// epsilon), where omega_i is Eq. 6 over (consumer_satisfaction,
-/// provider_satisfaction[i]) — or `*fixed_omega` for all i when non-null
-/// (the omega ablation's pinned-omega mode). The SQLB scoring kernel of the
-/// mediation hot path: all four inputs are contiguous doubles filled from
-/// the characterization cache, so the loop never strides over candidate
-/// structs. Arithmetic is per-element identical to the scalar calls, in
-/// index order — bit-for-bit the scores the AoS loop produces.
-void SqlbScoreColumns(const double* provider_intention,
-                      const double* consumer_intention,
-                      const double* provider_satisfaction, std::size_t count,
-                      double consumer_satisfaction, double epsilon,
-                      const double* fixed_omega, std::vector<double>* scores);
+/// Lines 6-10 of Algorithm 1 over struct-of-arrays columns: Definition 9
+/// with omega_i from Eq. 6 over (consumer_satisfaction,
+/// provider_satisfaction[i]), or `*fixed_omega` for all i when non-null,
+/// and the best min(k, count) indices into `top` in SelectTopN's order
+/// (higher score, then lower index). One sweep in index order keeps the
+/// running best k; once it holds k, a candidate is scored only when a
+/// pow-free upper bound on its score (the weighted arithmetic mean on the
+/// positive branch, minus the smaller base on the negative one, widened by
+/// 2^-40) reaches the k-th best exact score. `scores[i]` is ProviderScore
+/// bit for bit for each scored candidate and -infinity for each skipped
+/// one. The bounds hold for intentions <= 1, as Definitions 7-8 produce.
+/// O(count * k) worst case; Algorithm 1's q.n is small.
+void SqlbRankColumns(const double* provider_intention,
+                     const double* consumer_intention,
+                     const double* provider_satisfaction, std::size_t count,
+                     double consumer_satisfaction, double epsilon,
+                     const double* fixed_omega, std::size_t k,
+                     std::vector<double>* scores,
+                     std::vector<std::size_t>* top);
 
 /// Ranks candidate indices by descending score; ties broken by original
 /// index (deterministic). Returns the permutation (the R_q vector of

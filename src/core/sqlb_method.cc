@@ -14,20 +14,13 @@ SqlbMethod::SqlbMethod(SqlbOptions options) : options_(options) {
 }
 
 AllocationDecision SqlbMethod::Allocate(const AllocationRequest& request) {
-  AllocationDecision decision;
-  decision.scores.reserve(request.candidates.size());
-  for (const CandidateProvider& p : request.candidates) {
-    const double omega =
-        options_.fixed_omega.has_value()
-            ? *options_.fixed_omega
-            : OmegaBalance(request.consumer_satisfaction,
-                           p.provider_satisfaction);
-    decision.scores.push_back(ProviderScore(p.provider_intention,
-                                            p.consumer_intention, omega,
-                                            options_.epsilon));
-  }
-  decision.selected = SelectTopN(decision.scores, SelectionCount(request));
-  return decision;
+  columns_.Clear();
+  for (const CandidateProvider& p : request.candidates) columns_.Push(p);
+  ColumnarRequest columnar;
+  columnar.query = request.query;
+  columnar.consumer_satisfaction = request.consumer_satisfaction;
+  columnar.candidates = &columns_;
+  return AllocateColumns(columnar);
 }
 
 AllocationDecision SqlbMethod::AllocateColumns(const ColumnarRequest& request) {
@@ -35,16 +28,30 @@ AllocationDecision SqlbMethod::AllocateColumns(const ColumnarRequest& request) {
              "columnar request needs a query and candidates");
   const CandidateColumns& columns = *request.candidates;
   AllocationDecision decision;
-  SqlbScoreColumns(columns.provider_intention.data(),
-                   columns.consumer_intention.data(),
-                   columns.provider_satisfaction.data(), columns.size(),
-                   request.consumer_satisfaction, options_.epsilon,
-                   options_.fixed_omega.has_value() ? &*options_.fixed_omega
-                                                    : nullptr,
-                   &decision.scores);
-  decision.selected = SelectTopN(
-      decision.scores, SelectionCount(*request.query, columns.size()));
+  SqlbRankColumns(columns.provider_intention.data(),
+                  columns.consumer_intention.data(),
+                  columns.provider_satisfaction.data(), columns.size(),
+                  request.consumer_satisfaction, options_.epsilon,
+                  options_.fixed_omega.has_value() ? &*options_.fixed_omega
+                                                   : nullptr,
+                  SelectionCount(*request.query, columns.size()),
+                  &decision.scores, &decision.selected);
   return decision;
+}
+
+std::vector<double> SqlbMethod::Scores(const AllocationRequest& request) const {
+  std::vector<double> scores;
+  scores.reserve(request.candidates.size());
+  for (const CandidateProvider& p : request.candidates) {
+    const double omega =
+        options_.fixed_omega.has_value()
+            ? *options_.fixed_omega
+            : OmegaBalance(request.consumer_satisfaction,
+                           p.provider_satisfaction);
+    scores.push_back(ProviderScore(p.provider_intention, p.consumer_intention,
+                                   omega, options_.epsilon));
+  }
+  return scores;
 }
 
 }  // namespace sqlb

@@ -3,6 +3,7 @@
 
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/allocation.h"
 
@@ -32,16 +33,22 @@ class SqlbMethod final : public AllocationMethod {
 
   std::string name() const override { return "SQLB"; }
 
-  /// Lines 6-10 of Algorithm 1: per provider, omega from the consumer's and
-  /// provider's satisfaction (Eq. 6), score from the two intentions
-  /// (Definition 9), then rank and take the q.n best.
+  /// Lines 6-10 of Algorithm 1 over the AoS view: copies the candidates
+  /// into columns and decides through AllocateColumns, so both entry points
+  /// are one path.
   AllocationDecision Allocate(const AllocationRequest& request) override;
 
-  /// Same decision over the SoA candidate layout: the SqlbScoreColumns
-  /// kernel runs over the contiguous intention/satisfaction columns, then
-  /// SelectTopN — no AoS materialization. Bit-identical to Allocate over
-  /// the gathered AoS request.
+  /// Lines 6-10 of Algorithm 1: per provider, omega from the consumer's and
+  /// provider's satisfaction (Eq. 6), score from the two intentions
+  /// (Definition 9), keeping the q.n best (SqlbRankColumns). A candidate
+  /// whose score bound proves it cannot be selected is never scored:
+  /// `scores` holds -infinity for it.
   AllocationDecision AllocateColumns(const ColumnarRequest& request) override;
+
+  /// Definition 9 for every candidate, in candidate order — the full
+  /// ranking values, for methods that rank beyond the q.n best (KnBest's
+  /// shortlist, SQLB-Economic's price re-rank).
+  std::vector<double> Scores(const AllocationRequest& request) const;
 
   /// Definition 9 reads intentions and satisfactions only — none of the
   /// load/economy columns need to be materialized for SQLB.
@@ -53,6 +60,8 @@ class SqlbMethod final : public AllocationMethod {
 
  private:
   SqlbOptions options_;
+  /// Allocate's columnar copy of the request (reused across calls).
+  CandidateColumns columns_;
 };
 
 }  // namespace sqlb

@@ -89,14 +89,15 @@ class PagedRing {
   /// exactly RingBuffer::Push.
   bool Push(T value, T* evicted = nullptr) {
     if (size_ < capacity_) {
-      *MutableSlot((head_ + size_) % capacity_) = value;
+      // Only eviction at capacity moves head_, so it is 0 here.
+      *MutableSlot(size_) = value;
       ++size_;
       return false;
     }
     T* head_slot = MutableSlot(head_);
     if (evicted != nullptr) *evicted = *head_slot;
     *head_slot = value;
-    head_ = (head_ + 1) % capacity_;
+    if (++head_ == capacity_) head_ = 0;
     return true;
   }
 
@@ -114,8 +115,7 @@ class PagedRing {
   /// chunk is not resident yet has no address to prefetch.
   void PrefetchPushSlot() const {
 #if defined(__GNUC__) || defined(__clang__)
-    const std::size_t physical =
-        size_ < capacity_ ? (head_ + size_) % capacity_ : head_;
+    const std::size_t physical = size_ < capacity_ ? size_ : head_;
     const ChunkHeader* c = chunks_[physical / kChunkCapacity];
     if (c != nullptr) {
       __builtin_prefetch(&Slots(c)[physical % kChunkCapacity], 1, 1);

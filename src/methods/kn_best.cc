@@ -24,8 +24,8 @@ AllocationDecision KnBestMethod::Allocate(const AllocationRequest& request) {
       n, count);
 
   // Stage 1: SQLB scores, shortlist the K best.
-  AllocationDecision scored = scorer_.Allocate(request);
-  std::vector<std::size_t> shortlist = SelectTopN(scored.scores, k);
+  std::vector<double> scores = scorer_.Scores(request);
+  std::vector<std::size_t> shortlist = SelectTopN(scores, k);
 
   // Stage 2: among the shortlist, take the n least utilized.
   std::sort(shortlist.begin(), shortlist.end(),
@@ -38,7 +38,7 @@ AllocationDecision KnBestMethod::Allocate(const AllocationRequest& request) {
   shortlist.resize(n);
 
   AllocationDecision decision;
-  decision.scores = std::move(scored.scores);
+  decision.scores = std::move(scores);
   decision.selected = std::move(shortlist);
   return decision;
 }

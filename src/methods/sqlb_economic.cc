@@ -15,7 +15,8 @@ SqlbEconomicMethod::SqlbEconomicMethod(SqlbEconomicOptions options)
 
 AllocationDecision SqlbEconomicMethod::Allocate(
     const AllocationRequest& request) {
-  AllocationDecision decision = scorer_.Allocate(request);
+  AllocationDecision decision;
+  decision.scores = scorer_.Scores(request);
 
   // Normalize effective prices to [0, 1] over this candidate set so the
   // discount is scale-free, then re-rank.

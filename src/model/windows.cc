@@ -1,5 +1,7 @@
 #include "model/windows.h"
 
+#include <cmath>
+
 #include "common/math_util.h"
 #include "common/status.h"
 #include "model/characterization.h"
@@ -68,26 +70,29 @@ ProviderWindow::ProviderWindow(const WindowConfig& config, bool lazy)
 
 void ProviderWindow::Record(double shown_intention, double preference,
                             bool performed) {
-  const Entry entry{IntentionToUnit(shown_intention),
-                    IntentionToUnit(preference), performed};
+  const double intention_unit = IntentionToUnit(shown_intention);
+  const double preference_unit = IntentionToUnit(preference);
   bool perf_changed = performed;
   Entry evicted;
-  if (entries_.Push(entry, &evicted)) {
-    intention_sum_ -= evicted.intention_unit;
+  if (entries_.Push(
+          Entry{performed ? -intention_unit : intention_unit, preference_unit},
+          &evicted)) {
+    const double evicted_intention = std::fabs(evicted.signed_intention_unit);
+    intention_sum_ -= evicted_intention;
     preference_sum_ -= evicted.preference_unit;
-    if (evicted.performed) {
-      perf_intention_sum_ -= evicted.intention_unit;
+    if (std::signbit(evicted.signed_intention_unit)) {
+      perf_intention_sum_ -= evicted_intention;
       perf_preference_sum_ -= evicted.preference_unit;
       --performed_in_window_;
       perf_changed = true;
     }
   }
   if (perf_changed) ++sat_revision_;
-  intention_sum_ += entry.intention_unit;
-  preference_sum_ += entry.preference_unit;
+  intention_sum_ += intention_unit;
+  preference_sum_ += preference_unit;
   if (performed) {
-    perf_intention_sum_ += entry.intention_unit;
-    perf_preference_sum_ += entry.preference_unit;
+    perf_intention_sum_ += intention_unit;
+    perf_preference_sum_ += preference_unit;
     ++performed_in_window_;
     ++performed_total_;
   }

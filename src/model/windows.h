@@ -153,10 +153,13 @@ class ProviderWindow {
   std::size_t capacity() const { return entries_.capacity(); }
 
  private:
+  // 16 bytes: the performed flag rides in the sign bit of the intention
+  // unit. IntentionToUnit returns a value in [+0, 1] (at -1 it gives
+  // (-1 + 1) / 2 = +0.0, never -0.0), so a performed entry stores -unit,
+  // std::signbit reads the flag and std::fabs the unit back exactly.
   struct Entry {
-    double intention_unit;   // (clamped intention + 1) / 2
-    double preference_unit;  // (clamped preference + 1) / 2
-    bool performed;
+    double signed_intention_unit;  // -unit when performed, else +unit
+    double preference_unit;        // (clamped preference + 1) / 2
   };
 
   WindowConfig config_;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 namespace sqlb {
 namespace {
@@ -82,6 +83,37 @@ TEST(RingBufferTest, LongWraparoundKeepsWindowSemantics) {
   for (int i = 0; i < 1000; ++i) buffer.Push(i);
   for (std::size_t j = 0; j < k; ++j) {
     EXPECT_EQ(buffer.at(j), static_cast<int>(1000 - k + j));
+  }
+}
+
+TEST(RingBufferTest, MatchesModelPushEvictionArithmetic) {
+  // The capacities PagedRingTest runs (63 doubles fill one 512-byte pooled
+  // chunk), against a plain vector model of the eviction order.
+  for (std::size_t capacity : {1, 37, 63, 64, 500}) {
+    SCOPED_TRACE(::testing::Message() << "capacity " << capacity);
+    RingBuffer<double> buffer(capacity);
+    std::vector<double> model;
+    std::size_t model_head = 0;
+    const int pushes = static_cast<int>(3 * capacity) + 500;
+    for (int i = 0; i < pushes; ++i) {
+      const double value = 0.25 * i;
+      double evicted = -1.0;
+      const bool did_evict = buffer.Push(value, &evicted);
+      if (model.size() < capacity) {
+        model.push_back(value);
+        EXPECT_FALSE(did_evict);
+      } else {
+        EXPECT_TRUE(did_evict);
+        EXPECT_EQ(evicted, model[model_head]);
+        model[model_head] = value;
+        model_head = (model_head + 1) % capacity;
+      }
+      ASSERT_EQ(buffer.size(), model.size());
+      ASSERT_EQ(buffer.oldest(), model[model_head % model.size()]);
+      for (std::size_t k = 0; k < buffer.size(); ++k) {
+        ASSERT_EQ(buffer.at(k), model[(model_head + k) % capacity]) << k;
+      }
+    }
   }
 }
 

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <optional>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -128,6 +133,166 @@ TEST(SelectTopNTest, AgreesWithFullRanking) {
     }
   }
 }
+
+// SqlbRankColumns against the reference it must reproduce: ProviderScore
+// for every candidate, then SelectTopN over the full vector.
+struct RankCase {
+  std::vector<double> pi;
+  std::vector<double> ci;
+  std::vector<double> ps;
+  double consumer_satisfaction = 0.5;
+  double epsilon = 1.0;
+  std::optional<double> fixed_omega;
+  std::size_t k = 1;
+};
+
+std::uint64_t Bits(double x) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &x, sizeof bits);
+  return bits;
+}
+
+void ExpectRankMatchesFullScoring(const RankCase& c) {
+  const std::size_t n = c.pi.size();
+  std::vector<double> full;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double omega = c.fixed_omega.has_value()
+                             ? *c.fixed_omega
+                             : OmegaBalance(c.consumer_satisfaction, c.ps[i]);
+    full.push_back(ProviderScore(c.pi[i], c.ci[i], omega, c.epsilon));
+  }
+  std::vector<double> scores;
+  std::vector<std::size_t> top;
+  SqlbRankColumns(c.pi.data(), c.ci.data(), c.ps.data(), n,
+                  c.consumer_satisfaction, c.epsilon,
+                  c.fixed_omega.has_value() ? &*c.fixed_omega : nullptr, c.k,
+                  &scores, &top);
+  ASSERT_EQ(top, SelectTopN(full, c.k));
+  ASSERT_EQ(scores.size(), n);
+  const double kth = full[top.back()];
+  for (std::size_t i = 0; i < n; ++i) {
+    if (scores[i] == -std::numeric_limits<double>::infinity()) {
+      EXPECT_LT(full[i], kth) << "skipped candidate " << i;
+    } else {
+      EXPECT_EQ(Bits(scores[i]), Bits(full[i])) << "candidate " << i;
+    }
+  }
+}
+
+TEST(SqlbRankColumnsTest, SingleCandidateAndKAtLeastNScoreEverything) {
+  RankCase one;
+  one.pi = {-0.4};
+  one.ci = {0.3};
+  one.ps = {0.2};
+  ExpectRankMatchesFullScoring(one);
+  one.k = 5;
+  ExpectRankMatchesFullScoring(one);
+
+  RankCase all;
+  all.pi = {0.2, -1.5, 0.9, 0.2};
+  all.ci = {0.7, 0.1, -0.3, 0.7};
+  all.ps = {0.5, 0.1, 0.9, 0.5};
+  all.k = 4;
+  std::vector<double> scores;
+  std::vector<std::size_t> top;
+  SqlbRankColumns(all.pi.data(), all.ci.data(), all.ps.data(), 4, 0.5, 1.0,
+                  nullptr, all.k, &scores, &top);
+  for (double s : scores) EXPECT_GT(s, -std::numeric_limits<double>::infinity());
+  ExpectRankMatchesFullScoring(all);
+  all.k = 9;
+  ExpectRankMatchesFullScoring(all);
+}
+
+TEST(SqlbRankColumnsTest, KthBestOfExactlyZeroStillScoresPositives) {
+  // pi = 1 + eps zeroes the first negative-branch base, so that candidate
+  // scores -0.0: the sign shortcut must not fire on a k-th best of 0, and
+  // the later positive candidate must still be scored and win.
+  RankCase c;
+  c.pi = {2.0, -0.5, 0.3, -1.0, 0.6};
+  c.ci = {-0.2, 0.4, 0.8, -0.9, 0.5};
+  c.ps = {0.5, 0.5, 0.5, 0.5, 0.5};
+  c.fixed_omega = 0.5;
+  ExpectRankMatchesFullScoring(c);
+  c.pi = {2.0, -0.5, -0.3, 2.0};
+  c.ci = {-0.2, 0.4, 0.8, -0.9};
+  ExpectRankMatchesFullScoring(c);
+}
+
+class SqlbRankColumnsPropertyTest
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SqlbRankColumnsPropertyTest, MatchesSelectTopNOverFullScores) {
+  Rng rng(GetParam());
+  for (int trial = 0; trial < 300; ++trial) {
+    RankCase c;
+    const std::size_t n = 1 + rng.NextBounded(64);
+    const double epsilons[] = {1.0, 0.5, 0.01, 2.0};
+    c.epsilon = epsilons[rng.NextBounded(4)];
+    c.consumer_satisfaction =
+        rng.Bernoulli(0.2) ? static_cast<double>(rng.NextBounded(2))
+                           : rng.NextDouble();
+    switch (rng.NextBounded(4)) {
+      case 0: c.fixed_omega = 0.0; break;
+      case 1: c.fixed_omega = 1.0; break;
+      case 2: c.fixed_omega = rng.NextDouble(); break;
+      default: break;  // Eq. 6
+    }
+    const std::size_t ks[] = {1, 2, 3, n, n + 2};
+    c.k = ks[rng.NextBounded(5)];
+    const int shape = trial % 5;
+    // Duplicate pool: copies of a few (pi, ci, ps) triples force ties.
+    double pool[3][3];
+    for (auto& triple : pool) {
+      triple[0] = rng.Uniform(-2.0, 1.0);
+      triple[1] = rng.Uniform(-1.0, 1.0);
+      triple[2] = rng.NextDouble();
+    }
+    const double base = rng.Uniform(0.05, 0.95);
+    for (std::size_t i = 0; i < n; ++i) {
+      double pi = rng.Uniform(-2.5, 1.0);
+      double ci = rng.Uniform(-1.0, 1.0);
+      double ps = rng.Bernoulli(0.2) ? static_cast<double>(rng.NextBounded(2))
+                                     : rng.NextDouble();
+      switch (shape) {
+        case 1:  // mostly mutually willing
+          pi = rng.Uniform(-0.2, 1.0);
+          ci = rng.Uniform(-0.2, 1.0);
+          break;
+        case 2:  // all negative branch
+          pi = rng.Uniform(-2.5, 0.0);
+          break;
+        case 3: {  // exact duplicates
+          const auto& triple = pool[rng.NextBounded(3)];
+          pi = triple[0];
+          ci = triple[1];
+          ps = triple[2];
+          break;
+        }
+        case 4: {  // scores a few ULPs apart (exact at w = 0 or 1)
+          pi = base;
+          ci = base;
+          for (std::uint64_t s = rng.NextBounded(4); s > 0; --s) {
+            pi = std::nextafter(pi, rng.Bernoulli(0.5) ? 2.0 : -2.0);
+            ci = std::nextafter(ci, rng.Bernoulli(0.5) ? 2.0 : -2.0);
+          }
+          if (rng.Bernoulli(0.3)) pi = -pi;
+          break;
+        }
+        default:
+          break;
+      }
+      c.pi.push_back(pi);
+      c.ci.push_back(ci);
+      c.ps.push_back(ps);
+    }
+    SCOPED_TRACE(::testing::Message() << "trial " << trial);
+    ExpectRankMatchesFullScoring(c);
+    if (HasFailure()) return;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomCandidateSets, SqlbRankColumnsPropertyTest,
+                         ::testing::Range<std::uint64_t>(0, 12));
 
 }  // namespace
 }  // namespace sqlb

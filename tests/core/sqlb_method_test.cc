@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "common/rng.h"
 #include "core/scoring.h"
 #include "model/query.h"
@@ -54,6 +57,12 @@ TEST(SqlbMethodTest, MotivatingExamplePicksTheMutuallyWillingProvider) {
   EXPECT_EQ(request.candidates[decision.selected[0]].id, ProviderId(5));
   EXPECT_GT(decision.scores[4], 0.0);
   for (std::size_t i = 0; i < 4; ++i) EXPECT_LT(decision.scores[i], 0.0);
+  // Allocate may leave -infinity for candidates it ruled out unscored;
+  // Scores() carries the real Definition-9 values for every candidate.
+  const std::vector<double> scores = method.Scores(request);
+  ASSERT_EQ(scores.size(), 5u);
+  EXPECT_GT(scores[4], 0.0);
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_LT(scores[i], 0.0);
 }
 
 TEST(SqlbMethodTest, SelectsExactlyMinOfNAndCandidates) {
@@ -130,6 +139,39 @@ TEST(SqlbMethodTest, ScoresMatchDefinition9) {
   const auto decision = method.Allocate(request);
   const double omega = OmegaBalance(0.7, 0.3);
   EXPECT_DOUBLE_EQ(decision.scores[0], ProviderScore(0.5, 0.6, omega, 1.0));
+}
+
+TEST(SqlbMethodTest, ScoresEqualProviderScoreForEveryCandidate) {
+  Rng rng(5);
+  for (const std::optional<double> fixed :
+       {std::optional<double>(), std::optional<double>(0.0),
+        std::optional<double>(0.35), std::optional<double>(1.0)}) {
+    SqlbOptions options;
+    options.epsilon = 0.5;
+    options.fixed_omega = fixed;
+    const SqlbMethod method(options);
+    Query q = MakeQuery(2);
+    AllocationRequest request;
+    request.query = &q;
+    request.consumer_satisfaction = rng.NextDouble();
+    for (std::uint32_t i = 0; i < 40; ++i) {
+      request.candidates.push_back(
+          MakeCandidate(i, rng.Uniform(-2.0, 1.0), rng.Uniform(-1.0, 1.0),
+                        rng.NextDouble()));
+    }
+    const std::vector<double> scores = method.Scores(request);
+    ASSERT_EQ(scores.size(), request.candidates.size());
+    for (std::size_t i = 0; i < scores.size(); ++i) {
+      const CandidateProvider& p = request.candidates[i];
+      const double omega =
+          fixed.has_value() ? *fixed
+                            : OmegaBalance(request.consumer_satisfaction,
+                                           p.provider_satisfaction);
+      EXPECT_EQ(scores[i], ProviderScore(p.provider_intention,
+                                         p.consumer_intention, omega, 0.5))
+          << "candidate " << i;
+    }
+  }
 }
 
 TEST(SqlbMethodDeathTest, ValidatesOptions) {

@@ -189,27 +189,36 @@ TEST(ChunkedFifoTest, PoolExhaustionLeavesQueueUnchanged) {
 
 TEST(PagedRingTest, MatchesRingBufferPushEvictionArithmetic) {
   // Reference semantics: size < capacity appends; at capacity the oldest is
-  // evicted and returned. Mirror against a plain vector model.
-  const std::size_t capacity = 37;
-  PagedRing<double> ring(capacity, /*lazy=*/true);
-  std::vector<double> model;
-  std::size_t model_head = 0;
-  for (int i = 0; i < 500; ++i) {
-    const double value = 0.25 * i;
-    double evicted = -1.0;
-    const bool did_evict = ring.Push(value, &evicted);
-    if (model.size() < capacity) {
-      model.push_back(value);
-      EXPECT_FALSE(did_evict);
-    } else {
-      EXPECT_TRUE(did_evict);
-      EXPECT_EQ(evicted, model[model_head]);
-      model[model_head] = value;
-      model_head = (model_head + 1) % capacity;
-    }
-    ASSERT_EQ(ring.size(), model.size());
-    for (std::size_t k = 0; k < ring.size(); ++k) {
-      ASSERT_EQ(ring.at(k), model[(model_head + k) % capacity]) << k;
+  // evicted and returned. Mirror against a plain vector model, at one slot,
+  // one full chunk, a chunk plus one, and multi-chunk rings, both backings.
+  constexpr std::size_t kChunk = PagedRing<double>::kChunkCapacity;
+  for (std::size_t capacity : {std::size_t{1}, kChunk, kChunk + 1,
+                               std::size_t{37}, std::size_t{500}}) {
+    for (bool lazy : {true, false}) {
+      SCOPED_TRACE(::testing::Message() << "capacity " << capacity
+                                        << (lazy ? " lazy" : " eager"));
+      PagedRing<double> ring(capacity, lazy);
+      std::vector<double> model;
+      std::size_t model_head = 0;
+      const int pushes = static_cast<int>(3 * capacity) + 500;
+      for (int i = 0; i < pushes; ++i) {
+        const double value = 0.25 * i;
+        double evicted = -1.0;
+        const bool did_evict = ring.Push(value, &evicted);
+        if (model.size() < capacity) {
+          model.push_back(value);
+          EXPECT_FALSE(did_evict);
+        } else {
+          EXPECT_TRUE(did_evict);
+          EXPECT_EQ(evicted, model[model_head]);
+          model[model_head] = value;
+          model_head = (model_head + 1) % capacity;
+        }
+        ASSERT_EQ(ring.size(), model.size());
+        for (std::size_t k = 0; k < ring.size(); ++k) {
+          ASSERT_EQ(ring.at(k), model[(model_head + k) % capacity]) << k;
+        }
+      }
     }
   }
 }

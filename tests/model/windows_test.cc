@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <deque>
+#include <memory>
+#include <vector>
+
+#include "common/math_util.h"
 #include "common/rng.h"
+#include "mem/agent_arena.h"
+#include "model/characterization.h"
 
 namespace sqlb {
 namespace {
@@ -205,6 +214,152 @@ TEST_P(WindowRangeTest, BoundedOutputs) {
 
 INSTANTIATE_TEST_SUITE_P(RandomStreams, WindowRangeTest,
                          ::testing::Range<std::uint64_t>(0, 20));
+
+// Reference for ProviderWindow: the entries as a deque of {intention unit,
+// preference unit, performed} and running sums added and subtracted in the
+// same order, with Definitions 4-6 and the sticky satisfaction written out.
+class ReferenceProviderWindow {
+ public:
+  explicit ReferenceProviderWindow(const WindowConfig& config)
+      : config_(config), last_{config.prior, config.prior} {}
+
+  void Record(double intention, double preference, bool performed) {
+    const Entry entry{IntentionToUnit(intention), IntentionToUnit(preference),
+                      performed};
+    bool perf_changed = performed;
+    if (entries_.size() == config_.capacity) {
+      const Entry evicted = entries_.front();
+      entries_.pop_front();
+      sum_[0] -= evicted.units[0];
+      sum_[1] -= evicted.units[1];
+      if (evicted.performed) {
+        perf_sum_[0] -= evicted.units[0];
+        perf_sum_[1] -= evicted.units[1];
+        --performed_;
+        perf_changed = true;
+      }
+    }
+    if (perf_changed) ++revision_;
+    entries_.push_back(entry);
+    sum_[0] += entry.units[0];
+    sum_[1] += entry.units[1];
+    if (performed) {
+      perf_sum_[0] += entry.units[0];
+      perf_sum_[1] += entry.units[1];
+      ++performed_;
+    }
+  }
+
+  double Adequation(int c) const {
+    const double k = static_cast<double>(config_.capacity);
+    const double m = static_cast<double>(entries_.size());
+    return Clamp((sum_[c] + (k - m) * config_.prior) / k, 0.0, 1.0);
+  }
+  double Satisfaction(int c) const {
+    const double s = static_cast<double>(performed_);
+    const double w = config_.satisfaction_prior_weight;
+    if (s + w <= 0.0) return last_[c];
+    const double value =
+        Clamp((perf_sum_[c] + w * config_.prior) / (s + w), 0.0, 1.0);
+    if (performed_ > 0) last_[c] = value;
+    return value;
+  }
+  double RawAdequation(int c) const {
+    return entries_.empty() ? 0.0
+                            : sum_[c] / static_cast<double>(entries_.size());
+  }
+  double RawSatisfaction(int c) const {
+    return performed_ == 0 ? 0.0
+                           : perf_sum_[c] / static_cast<double>(performed_);
+  }
+  std::size_t size() const { return entries_.size(); }
+  std::size_t performed() const { return performed_; }
+  std::uint64_t revision() const { return revision_; }
+
+ private:
+  struct Entry {
+    double units[2];  // intention, preference
+    bool performed;
+  };
+  WindowConfig config_;
+  std::deque<Entry> entries_;
+  double sum_[2] = {0.0, 0.0};
+  double perf_sum_[2] = {0.0, 0.0};
+  std::size_t performed_ = 0;
+  std::uint64_t revision_ = 0;
+  mutable double last_[2];
+};
+
+std::uint64_t Bits(double x) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &x, sizeof bits);
+  return bits;
+}
+
+void ExpectMatchesReference(ProviderWindow& window,
+                            const ReferenceProviderWindow& reference) {
+  ASSERT_EQ(window.size(), reference.size());
+  ASSERT_EQ(window.performed_in_window(), reference.performed());
+  ASSERT_EQ(window.satisfaction_revision(), reference.revision());
+  const ProviderWindow::Channel channels[] = {
+      ProviderWindow::Channel::kIntention,
+      ProviderWindow::Channel::kPreference};
+  for (int c = 0; c < 2; ++c) {
+    const ProviderWindow::Channel channel = channels[c];
+    ASSERT_EQ(Bits(window.RawAdequation(channel)),
+              Bits(reference.RawAdequation(c)));
+    ASSERT_EQ(Bits(window.RawSatisfaction(channel)),
+              Bits(reference.RawSatisfaction(c)));
+    ASSERT_EQ(Bits(window.Adequation(channel)), Bits(reference.Adequation(c)));
+    ASSERT_EQ(Bits(window.Satisfaction(channel)),
+              Bits(reference.Satisfaction(c)));
+    ASSERT_EQ(Bits(window.AllocationSatisfactionValue(channel)),
+              Bits(AllocationSatisfaction(reference.Satisfaction(c),
+                                          reference.Adequation(c))));
+  }
+}
+
+TEST(ProviderWindowTest, PackedEntriesMatchReferenceOnEveryBacking) {
+  Rng rng(2024);
+  mem::AgentPoolConfig pool_config;
+  pool_config.enabled = true;
+  mem::AgentArena arena(pool_config);
+  // 31 entries fill one 512-byte chunk; 500 is the paper's provider k.
+  for (std::size_t capacity : {1, 2, 31, 32, 37, 500}) {
+    for (double prior_weight : {0.0, 1.0}) {
+      SCOPED_TRACE(::testing::Message() << "capacity " << capacity
+                                        << " prior weight " << prior_weight);
+      WindowConfig config = SmallWindow(capacity);
+      config.satisfaction_prior_weight = prior_weight;
+      ReferenceProviderWindow reference(config);
+      ProviderWindow eager(config, /*lazy=*/false);
+      ProviderWindow lazy_heap(config, /*lazy=*/true);
+      ProviderWindow lazy_pooled(config, /*lazy=*/true);
+      lazy_pooled.set_chunk_pool(arena.slabs());
+      ProviderWindow* windows[] = {&eager, &lazy_heap, &lazy_pooled};
+      const std::size_t records = 2 * capacity + 64;
+      for (std::size_t r = 0; r < records; ++r) {
+        // Intention and preference -1 map to the unit +0.0, whose sign bit
+        // is the performed flag once negated.
+        double intention = rng.Uniform(-3.0, 1.5);
+        double preference = rng.Uniform(-1.0, 1.0);
+        switch (rng.NextBounded(4)) {
+          case 0: intention = -1.0; break;
+          case 1: preference = -1.0; break;
+          case 2: intention = -1.0; preference = -1.0; break;
+          default: break;
+        }
+        const bool performed = rng.Bernoulli(0.4);
+        reference.Record(intention, preference, performed);
+        for (ProviderWindow* window : windows) {
+          window->Record(intention, preference, performed);
+          ExpectMatchesReference(*window, reference);
+          if (HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace sqlb
