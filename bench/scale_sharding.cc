@@ -169,6 +169,9 @@ ScalePoint RunMono(const runtime::SystemConfig& config) {
   Config mono;
   mono.mode = Mode::kMono;
   mono.scenario() = config;
+  // The eager layout, like every arm that does not ask for the pool: the
+  // mono row is the baseline the eager sharded rows are compared against.
+  mono.scenario().agent_pool.enabled = false;
   const std::unique_ptr<Service> service = Service::Create(
       mono, [](std::uint32_t) { return std::make_unique<SqlbMethod>(); });
   // The timed region includes Mode::kMono's driver construction (Run()

@@ -63,6 +63,9 @@ struct AllocationRequest {
 struct CandidateColumns {
   std::vector<ProviderId> ids;
   std::vector<double> consumer_intention;
+  /// PI_q[p], exact unless the method dropped
+  /// CandidateColumnNeeds::exact_refusals: then a provable full refusal
+  /// (Definition 8 <= -1) may hold -infinity instead.
   std::vector<double> provider_intention;
   std::vector<double> provider_satisfaction;
   std::vector<double> utilization;
@@ -100,6 +103,16 @@ struct CandidateColumnNeeds {
   bool backlog_seconds = true;
   bool bid_price = true;
   bool estimated_delay = true;
+  /// When false, the gather may skip Definition 8 for a candidate whose
+  /// provider intention is provably <= -1
+  /// (ProviderIntentionEvaluator::IsFullRefusal) and store -infinity
+  /// instead, as long as at least k = min(q.n, N) candidates are mutually
+  /// willing (provider and consumer intention both > 0); with fewer, every
+  /// intention is exact. The placeholder maps to the same window unit,
+  /// +0.0, as the exact value, so only a method that never reads a
+  /// refusing candidate's intention while k willing pairs exist (SQLB's
+  /// SqlbRankColumns) may drop it.
+  bool exact_refusals = true;
 
   static CandidateColumnNeeds All() { return {}; }
   static CandidateColumnNeeds None() {

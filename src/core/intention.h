@@ -1,6 +1,8 @@
 #ifndef SQLB_CORE_INTENTION_H_
 #define SQLB_CORE_INTENTION_H_
 
+#include "common/math_util.h"
+
 /// \file
 /// The SQLB intention functions (Section 5.1-5.2).
 ///
@@ -94,6 +96,21 @@ class ProviderIntentionEvaluator {
                              const ProviderIntentionParams& params);
 
   double Eval(double preference) const;
+
+  /// True when Eval(preference) provably lies at or below -1 without
+  /// evaluating it: a kSelfBalancing negative-branch preference whose two
+  /// bases, 1 - prf + eps and ut + eps, are both >= 1. A faithfully
+  /// rounded pow of a base >= 1 to an exponent in [0, 1] is >= 1, and so
+  /// is the rounded product, so IntentionToUnit(Eval(preference)) is +0.0
+  /// exactly — the unit a -infinity placeholder also maps to. Under the
+  /// paper's eps = 1 every negative-branch intention is one. Bitwise `&`
+  /// keeps the test free of branches, which would mispredict per candidate.
+  bool IsFullRefusal(double preference) const {
+    const double prf = Clamp(preference, -1.0, 1.0);
+    return (mode_ == ProviderIntentionMode::kSelfBalancing) &
+           !((prf > 0.0) & (utilization_ < 1.0)) &
+           (1.0 - prf + epsilon_ >= 1.0) & (utilization_ + epsilon_ >= 1.0);
+  }
 
  private:
   ProviderIntentionMode mode_ = ProviderIntentionMode::kSelfBalancing;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <numeric>
 
@@ -33,12 +35,42 @@ double ProviderScore(double provider_intention, double consumer_intention,
            BoundedPow(1.0 - ci + epsilon, 1.0 - w));
 }
 
+double LnLowerBound(double x) {
+  // x = 2^e * m with m in [1, 2); subnormals are scaled by 2^54 first.
+  std::uint64_t bits;
+  std::memcpy(&bits, &x, sizeof bits);
+  int e = static_cast<int>(bits >> 52) - 1023;
+  if (e == -1023) {
+    x *= 0x1p54;
+    std::memcpy(&bits, &x, sizeof bits);
+    e = static_cast<int>(bits >> 52) - 1023 - 54;
+  }
+  bits = (bits & 0x000fffffffffffffULL) | 0x3ff0000000000000ULL;
+  double m;
+  std::memcpy(&m, &bits, sizeof m);
+  // ln m = 2 atanh(s), s = (m - 1) / (m + 1) in [0, 1/3): every series
+  // term is non-negative, so the truncation after s^7 bounds from below,
+  // short by at most 2 s^9 / 9 / (1 - s^2) < 1.27e-5. The 2^-38 covers the
+  // rounding of the sum (|e ln 2| <= 745).
+  const double s = (m - 1.0) / (m + 1.0);
+  const double s2 = s * s;
+  const double series =
+      2.0 * s * (1.0 + s2 * (1.0 / 3.0 + s2 * (1.0 / 5.0 + s2 * (1.0 / 7.0))));
+  return static_cast<double>(e) * 0x1.62e42fefa39efp-1 + series - 0x1p-38;
+}
+
 namespace {
 
-// Relative widening of the pow-free bounds. Each pow is within 1 ULP and the
-// product rounds once, so an exact score sits within a few ULPs (~1e-15
+// Relative widening of the pow-free AM bound. Each pow is within 1 ULP and
+// the product rounds once, so an exact score sits within a few ULPs (~1e-15
 // relative) of the mean its bound brackets; 2^-40 (~9e-13) is far wider.
 constexpr double kBoundSlack = 0x1p-40;
+// Additive widening of the log-domain bound: kLnLowerBoundSlack plus the
+// rounding of the weighted sum (|terms| <= 745, ~1e-12) and of the exact
+// score (a few ULPs, ~1e-15 in the log).
+constexpr double kLogBoundSlack = 0x1p-16;
+static_assert(kLogBoundSlack > kLnLowerBoundSlack + 1e-9,
+              "the log bound must cover the ln bound's slack");
 
 // An upper bound on ProviderScore(pi, ci, w, epsilon) for w in [0, 1]:
 // weighted AM >= weighted GM on the positive branch; on the negative one
@@ -66,34 +98,52 @@ void SqlbRankColumns(const double* provider_intention,
   best.clear();
   if (k == 0) return;
   best.reserve(std::min(k, count));
-  double kth = 0.0;  // score_of[best.back()] once `best` holds k entries
-  for (std::size_t i = 0; i < count; ++i) {
-    const double pi = provider_intention[i];
-    const double ci = consumer_intention[i];
-    const bool full = best.size() == k;
-    // Sign shortcut: a negative-branch score is below every positive one.
-    if (full && kth > 0.0 && !(pi > 0.0 && ci > 0.0)) continue;
-    const double omega =
-        fixed_omega != nullptr
-            ? *fixed_omega
-            : OmegaBalance(consumer_satisfaction, provider_satisfaction[i]);
-    // Strict: a tie or a NaN bound is scored.
-    if (full &&
-        ScoreUpperBound(pi, ci, Clamp(omega, 0.0, 1.0), epsilon) < kth) {
-      continue;
+  double kth = 0.0;     // score_of[best.back()] once `best` holds k entries
+  double ln_kth = 0.0;  // LnLowerBound(kth) while kth > 0
+  // The mutually-willing pairs first. Their scores are >= 0 and every
+  // other one is < 0 (one base of its negative branch exceeds 1, the other
+  // is >= epsilon), so the rest matter only when fewer than k are willing.
+  for (const bool willing : {true, false}) {
+    if (!willing && best.size() == k) break;
+    for (std::size_t i = 0; i < count; ++i) {
+      const double pi = provider_intention[i];
+      const double ci = consumer_intention[i];
+      if ((pi > 0.0 && ci > 0.0) != willing) continue;
+      const double omega =
+          fixed_omega != nullptr
+              ? *fixed_omega
+              : OmegaBalance(consumer_satisfaction, provider_satisfaction[i]);
+      const bool full = best.size() == k;
+      if (full) {
+        // Strict: a tie or a NaN bound is scored.
+        const double w = Clamp(omega, 0.0, 1.0);
+        if (ScoreUpperBound(pi, ci, w, epsilon) < kth) continue;
+        // ln score = w ln pi + (1 - w) ln ci, each ln at most
+        // kLnLowerBoundSlack above its bound.
+        if (willing && kth > 0.0 &&
+            w * LnLowerBound(pi) + (1.0 - w) * LnLowerBound(ci) +
+                    kLogBoundSlack <
+                ln_kth) {
+          continue;
+        }
+      }
+      const double score = ProviderScore(pi, ci, omega, epsilon);
+      score_of[i] = score;
+      // Candidates arrive in index order within a sweep, and no score of
+      // one sweep ties one of the other, so a later one loses every tie:
+      // it enters only above a strictly lower score, evicting the k-th.
+      if (full) {
+        if (!(score > kth)) continue;
+        best.pop_back();
+      }
+      std::size_t pos = best.size();
+      while (pos > 0 && score > score_of[best[pos - 1]]) --pos;
+      best.insert(best.begin() + static_cast<std::ptrdiff_t>(pos), i);
+      if (best.size() == k) {
+        kth = score_of[best.back()];
+        if (kth > 0.0) ln_kth = LnLowerBound(kth);
+      }
     }
-    const double score = ProviderScore(pi, ci, omega, epsilon);
-    score_of[i] = score;
-    // Candidates arrive in index order, so a later one loses every tie:
-    // it enters only above a strictly lower score, evicting the k-th.
-    if (full) {
-      if (!(score > kth)) continue;
-      best.pop_back();
-    }
-    std::size_t pos = best.size();
-    while (pos > 0 && score > score_of[best[pos - 1]]) --pos;
-    best.insert(best.begin() + static_cast<std::ptrdiff_t>(pos), i);
-    if (best.size() == k) kth = score_of[best.back()];
   }
 }
 

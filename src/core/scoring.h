@@ -34,14 +34,24 @@ double ProviderScore(double provider_intention, double consumer_intention,
 /// with omega_i from Eq. 6 over (consumer_satisfaction,
 /// provider_satisfaction[i]), or `*fixed_omega` for all i when non-null,
 /// and the best min(k, count) indices into `top` in SelectTopN's order
-/// (higher score, then lower index). One sweep in index order keeps the
-/// running best k; once it holds k, a candidate is scored only when a
-/// pow-free upper bound on its score (the weighted arithmetic mean on the
-/// positive branch, minus the smaller base on the negative one, widened by
-/// 2^-40) reaches the k-th best exact score. `scores[i]` is ProviderScore
-/// bit for bit for each scored candidate and -infinity for each skipped
-/// one. The bounds hold for intentions <= 1, as Definitions 7-8 produce.
-/// O(count * k) worst case; Algorithm 1's q.n is small.
+/// (higher score, then lower index).
+///
+/// A first sweep in index order ranks only the mutually-willing pairs
+/// (provider and consumer intention both > 0), keeping the running best k.
+/// Every other score is negative, so a second sweep over the rest runs only
+/// when fewer than k pairs are willing. Once the running best holds k, a
+/// candidate is scored only when a pow-free upper bound on its score reaches
+/// the k-th best exact score: the weighted arithmetic mean on the positive
+/// branch (widened by 2^-40), then w ln pi + (1 - w) ln ci from
+/// LnLowerBound (widened by 2^-16); minus the smaller base on the negative
+/// one. `scores[i]` is ProviderScore bit for bit for each scored candidate
+/// and -infinity for each skipped one.
+///
+/// The bounds hold for intentions <= 1, as Definitions 7-8 produce. When at
+/// least k pairs are mutually willing, no other candidate's intentions are
+/// read, so a provider intention may then be -infinity for a refusing
+/// provider (CandidateColumnNeeds::exact_refusals). O(count * k) worst
+/// case; Algorithm 1's q.n is small.
 void SqlbRankColumns(const double* provider_intention,
                      const double* consumer_intention,
                      const double* provider_satisfaction, std::size_t count,
@@ -49,6 +59,14 @@ void SqlbRankColumns(const double* provider_intention,
                      const double* fixed_omega, std::size_t k,
                      std::vector<double>* scores,
                      std::vector<std::size_t>* top);
+
+/// How far LnLowerBound may fall short of ln x.
+inline constexpr double kLnLowerBoundSlack = 1.3e-5;
+
+/// A pow-free lower bound on ln x for positive finite x (subnormals
+/// included): LnLowerBound(x) <= ln x <= LnLowerBound(x) +
+/// kLnLowerBoundSlack. The ranking kernel's log-domain score bound.
+double LnLowerBound(double x);
 
 /// Ranks candidate indices by descending score; ties broken by original
 /// index (deterministic). Returns the permutation (the R_q vector of

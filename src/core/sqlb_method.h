@@ -51,9 +51,13 @@ class SqlbMethod final : public AllocationMethod {
   std::vector<double> Scores(const AllocationRequest& request) const;
 
   /// Definition 9 reads intentions and satisfactions only — none of the
-  /// load/economy columns need to be materialized for SQLB.
+  /// load/economy columns need to be materialized for SQLB — and the
+  /// ranking never reads a refusing provider's intention while k pairs are
+  /// mutually willing.
   CandidateColumnNeeds RequiredColumns() const override {
-    return CandidateColumnNeeds::None();
+    CandidateColumnNeeds needs = CandidateColumnNeeds::None();
+    needs.exact_refusals = false;
+    return needs;
   }
 
   const SqlbOptions& options() const { return options_; }

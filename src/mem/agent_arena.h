@@ -16,10 +16,11 @@ namespace sqlb::mem {
 
 /// Configuration for the pooled agent-state tier (SystemConfig::agent_pool).
 struct AgentPoolConfig {
-  /// Off (default): agents keep the legacy eager heap layout — the AoS
-  /// baseline every existing pin was measured against. On: chunked queues
-  /// and window rings allocate lazily from per-lane arenas.
-  bool enabled = false;
+  /// On (default): chunked queues and window rings allocate lazily, in
+  /// first-touch order, from per-lane arenas of mapped pages. Off: agents
+  /// keep the eager heap layout (every chunk allocated at construction),
+  /// the bit-identical twin pinned in tests/shard/agent_pool_parity_test.cc.
+  bool enabled = true;
   /// Page size of each arena's PagePool.
   std::size_t page_bytes = PagePool::kDefaultPageBytes;
   /// Byte budget per arena; 0 = unlimited. Exhaustion surfaces as a

@@ -1,7 +1,6 @@
 #include "mem/page_pool.h"
 
-#include <cstring>
-#include <new>
+#include <sys/mman.h>
 
 #include "common/status.h"
 
@@ -14,9 +13,7 @@ PagePool::PagePool(std::size_t page_bytes, std::size_t max_bytes)
 }
 
 PagePool::~PagePool() {
-  for (void* page : all_) {
-    ::operator delete(page, std::align_val_t{kPageAlignment});
-  }
+  for (void* page : all_) munmap(page, page_bytes_);
 }
 
 void* PagePool::Allocate() {
@@ -31,12 +28,15 @@ void* PagePool::Allocate() {
       return nullptr;  // budget exhausted — caller surfaces the status
     }
   }
-  void* page = ::operator new(page_bytes_, std::align_val_t{kPageAlignment},
-                              std::nothrow);
-  if (page == nullptr) return nullptr;
-  // Fault the page in on the calling thread: first touch homes it on the
+  // Anonymous mappings are zero-filled and OS-page aligned. Populating
+  // faults the page in on the calling thread: first touch homes it on the
   // caller's NUMA node, which is the lane worker for pooled agent state.
-  std::memset(page, 0, page_bytes_);
+  int flags = MAP_PRIVATE | MAP_ANONYMOUS;
+#ifdef MAP_POPULATE
+  flags |= MAP_POPULATE;
+#endif
+  void* page = mmap(nullptr, page_bytes_, PROT_READ | PROT_WRITE, flags, -1, 0);
+  if (page == MAP_FAILED) return nullptr;
   std::lock_guard<std::mutex> lock(mu_);
   all_.push_back(page);
   if (all_.size() > peak_pages_) peak_pages_ = all_.size();

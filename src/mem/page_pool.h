@@ -7,18 +7,22 @@
 
 /// \file
 /// Paged memory substrate for the compact agent-state tier: a PagePool hands
-/// out large aligned pages (reserved from the OS once, recycled forever), and
-/// a SlabPool carves one fixed block class out of those pages for the chunked
-/// agent containers (mem/chunked_fifo.h, mem/paged_ring.h).
+/// out large pages mapped from the OS (anonymous mmap, recycled while the
+/// pool lives, unmapped when it dies), and a SlabPool carves one fixed
+/// block class out of those pages for the chunked agent containers
+/// (mem/chunked_fifo.h, mem/paged_ring.h).
 ///
 /// Design points, in the spirit of katana's PagePool/SharedMemRuntime
 /// (SNIPPETS.md §2):
-///  - pages are zero-filled on first allocation *by the calling thread*, so a
-///    lane allocating from its own arena first-touches the page on its
+///  - fresh pages are zero-filled and faulted in *by the calling thread*, so
+///    a lane allocating from its own arena first-touches the page on its
 ///    worker's socket (the NUMA homing policy — no explicit mbind needed);
-///  - freed pages/blocks go to freelists, never back to the OS: a churn or
+///  - freed pages/blocks go to freelists while the pool lives: a churn or
 ///    failover wave recycles into the next admission instead of thrashing
 ///    malloc;
+///  - pages bypass the malloc heap, so a pool's death returns every page
+///    to the OS and repeated create/run/teardown cycles in one process do
+///    not fragment the heap;
 ///  - an optional byte budget turns exhaustion into a nullptr status the
 ///    caller can surface, not an abort inside the allocator.
 ///
@@ -39,17 +43,19 @@ class PagePool {
   /// `max_bytes` caps the total bytes reserved from the OS; 0 = unlimited.
   explicit PagePool(std::size_t page_bytes = kDefaultPageBytes,
                     std::size_t max_bytes = 0);
+  /// Unmaps every page reserved, free or in use.
   ~PagePool();
 
   PagePool(const PagePool&) = delete;
   PagePool& operator=(const PagePool&) = delete;
 
-  /// One zeroed page, or nullptr when the byte budget is exhausted. Fresh
-  /// pages are faulted in (memset) by the calling thread — the first-touch
-  /// NUMA placement hook.
+  /// One page, kPageAlignment-aligned, or nullptr when the byte budget is
+  /// exhausted (or the OS refuses the mapping). A fresh page is zeroed and
+  /// faulted in by the calling thread — the first-touch NUMA placement
+  /// hook; a recycled one keeps its contents.
   void* Allocate();
 
-  /// Returns a page to the freelist (never to the OS).
+  /// Returns a page to the freelist (unmapped only when the pool dies).
   void Free(void* page);
 
   std::size_t page_bytes() const { return page_bytes_; }

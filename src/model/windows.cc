@@ -100,11 +100,9 @@ void ProviderWindow::Record(double shown_intention, double preference,
 }
 
 double ProviderWindow::Adequation(Channel channel) const {
-  const double sum =
-      channel == Channel::kIntention ? intention_sum_ : preference_sum_;
   const double k = static_cast<double>(entries_.capacity());
   const double m = static_cast<double>(entries_.size());
-  return Clamp((sum + (k - m) * config_.prior) / k, 0.0, 1.0);
+  return Clamp((Sum(channel) + (k - m) * config_.prior) / k, 0.0, 1.0);
 }
 
 double ProviderWindow::Satisfaction(Channel channel) const {
@@ -116,9 +114,8 @@ double ProviderWindow::Satisfaction(Channel channel) const {
     // last known value (initially the 0.5 prior of Table 2).
     return last_satisfaction_[c];
   }
-  const double sum = channel == Channel::kIntention ? perf_intention_sum_
-                                                    : perf_preference_sum_;
-  const double value = Clamp((sum + w * config_.prior) / (s + w), 0.0, 1.0);
+  const double value =
+      Clamp((PerformedSum(channel) + w * config_.prior) / (s + w), 0.0, 1.0);
   if (performed_in_window_ > 0) last_satisfaction_[c] = value;
   return value;
 }
@@ -129,16 +126,12 @@ double ProviderWindow::AllocationSatisfactionValue(Channel channel) const {
 
 double ProviderWindow::RawAdequation(Channel channel) const {
   if (entries_.empty()) return 0.0;
-  const double sum =
-      channel == Channel::kIntention ? intention_sum_ : preference_sum_;
-  return sum / static_cast<double>(entries_.size());
+  return Sum(channel) / static_cast<double>(entries_.size());
 }
 
 double ProviderWindow::RawSatisfaction(Channel channel) const {
   if (performed_in_window_ == 0) return 0.0;
-  const double sum = channel == Channel::kIntention ? perf_intention_sum_
-                                                    : perf_preference_sum_;
-  return sum / static_cast<double>(performed_in_window_);
+  return PerformedSum(channel) / static_cast<double>(performed_in_window_);
 }
 
 }  // namespace sqlb

@@ -136,6 +136,16 @@ class ProviderWindow {
   /// Unblended Definition 5 (0 when no query was performed, as in paper).
   double RawSatisfaction(Channel channel) const;
 
+  /// The running unit sums behind Definitions 4-5: over every entry, and
+  /// over the performed ones.
+  double Sum(Channel channel) const {
+    return channel == Channel::kIntention ? intention_sum_ : preference_sum_;
+  }
+  double PerformedSum(Channel channel) const {
+    return channel == Channel::kIntention ? perf_intention_sum_
+                                          : perf_preference_sum_;
+  }
+
   /// Queries ever proposed / performed (not capped at k).
   std::uint64_t proposed() const { return proposed_; }
   std::uint64_t performed() const { return performed_total_; }

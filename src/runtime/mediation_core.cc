@@ -1,6 +1,7 @@
 #include "runtime/mediation_core.h"
 
 #include <algorithm>
+#include <limits>
 #include <string>
 
 #include "common/math_util.h"
@@ -47,6 +48,9 @@ MediationCore::MediationCore(const Shared& shared, AllocationMethod* method,
   const std::size_t members = active_providers_.size();
   scratch_columns_.Reserve(members);
   scratch_provider_pref_.reserve(members);
+  scratch_evaluators_.reserve(members);
+  scratch_exact_.reserve(members);
+  scratch_refusals_.reserve(members);
   scratch_selected_ci_.reserve(std::min<std::size_t>(
       members, shared_.config->query_n));
   scratch_selected_mask_.reserve(members);
@@ -174,6 +178,16 @@ void MediationCore::GatherCandidates(const Query& query,
   // setup) the registry read is dead weight per candidate; Get is pure, so
   // skipping it cannot change any value.
   const bool read_reputation = consumer.IntentionUsesReputation();
+  // Definition 8 is deferred for provable full refusals: such a candidate
+  // is never mutually willing, and its window unit is +0.0 either way.
+  const bool defer_refusals = !needs.exact_refusals;
+  // The refusal test is a coin flip per candidate, so the candidates are
+  // partitioned without a branch, and Definition 8 runs in a second pass.
+  scratch_evaluators_.resize(pq.size());
+  scratch_exact_.resize(pq.size());
+  scratch_refusals_.resize(pq.size());
+  std::size_t exact = 0;
+  std::size_t refused = 0;
   constexpr std::size_t kPrefetchAhead = 8;
   for (std::size_t c = 0; c < pq.size(); ++c) {
     const ProviderId pid = pq[c];
@@ -187,11 +201,19 @@ void MediationCore::GatherCandidates(const Query& query,
         shared_.population->ConsumerPreference(query.consumer, pid);
     const double provider_pref =
         shared_.population->ProviderPreference(pid, query.id);
+    const double ci = consumer.ComputeIntention(
+        consumer_pref, read_reputation ? shared_.reputation->Get(pid) : 0.0);
+    const bool refusal =
+        defer_refusals & mc.evaluator.IsFullRefusal(provider_pref);
+    scratch_evaluators_[c] = &mc.evaluator;
+    scratch_exact_[exact] = c;
+    exact += !refusal;
+    scratch_refusals_[refused] = c;
+    refused += refusal;
     columns->ids.push_back(pid);
-    columns->consumer_intention.push_back(consumer.ComputeIntention(
-        consumer_pref,
-        read_reputation ? shared_.reputation->Get(pid) : 0.0));
-    columns->provider_intention.push_back(mc.evaluator.Eval(provider_pref));
+    columns->consumer_intention.push_back(ci);
+    columns->provider_intention.push_back(
+        -std::numeric_limits<double>::infinity());
     columns->provider_satisfaction.push_back(mc.snap.satisfaction_intentions);
     if (needs.utilization) {
       columns->utilization.push_back(mc.snap.utilization);
@@ -211,6 +233,22 @@ void MediationCore::GatherCandidates(const Query& query,
                                          query.units / mc.snap.capacity);
     }
     prefs->push_back(provider_pref);
+  }
+  std::size_t willing = 0;
+  for (std::size_t j = 0; j < exact; ++j) {
+    const std::size_t c = scratch_exact_[j];
+    const double pi = scratch_evaluators_[c]->Eval((*prefs)[c]);
+    columns->provider_intention[c] = pi;
+    willing += pi > 0.0 && columns->consumer_intention[c] > 0.0;
+  }
+  // Too few willing pairs: the ranking reaches into the refusals, so they
+  // get their exact values too.
+  if (willing < SelectionCount(query, pq.size())) {
+    for (std::size_t j = 0; j < refused; ++j) {
+      const std::size_t c = scratch_refusals_[j];
+      columns->provider_intention[c] =
+          scratch_evaluators_[c]->Eval((*prefs)[c]);
+    }
   }
 
   // Mediation cost proxy: Algorithm 1's per-query work is proportional to

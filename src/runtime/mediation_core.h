@@ -366,7 +366,9 @@ class MediationCore {
   void DepartProvider(std::size_t index, DepartureReason reason, SimTime now);
   /// Fills `columns`/`prefs` with the per-query candidate gather for
   /// `query` over `pq` at `now`, reading the query-independent fields from
-  /// the characterization cache.
+  /// the characterization cache. A method without exact_refusals gets a
+  /// -infinity provider intention for each provable full refusal whenever
+  /// at least k = min(q.n, |pq|) pairs are mutually willing.
   void GatherCandidates(const Query& query, const std::vector<ProviderId>& pq,
                         SimTime now, CandidateColumns* columns,
                         std::vector<double>* prefs);
@@ -445,6 +447,11 @@ class MediationCore {
   // first allocations do not pay growth reallocations.
   CandidateColumns scratch_columns_;
   std::vector<double> scratch_provider_pref_;
+  /// The gather's per-candidate evaluators, and its candidate indices for
+  /// Definition 8 now and for the deferred refusals.
+  std::vector<const ProviderIntentionEvaluator*> scratch_evaluators_;
+  std::vector<std::size_t> scratch_exact_;
+  std::vector<std::size_t> scratch_refusals_;
   std::vector<double> scratch_selected_ci_;
   std::vector<char> scratch_selected_mask_;
 

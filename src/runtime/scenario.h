@@ -99,13 +99,14 @@ struct SystemConfig {
   /// parity twin.
   bool characterization_cache = true;
 
-  /// Pooled agent storage (src/mem/): when enabled, every provider agent's
-  /// chunked state — service queue, utilization event log, characterization
-  /// ring — materializes lazily from per-lane slab arenas instead of being
-  /// heap-allocated eagerly at construction. The arithmetic path is
+  /// Pooled agent storage (src/mem/), on by default: every provider
+  /// agent's chunked state — service queue, utilization event log,
+  /// characterization ring — materializes lazily from per-lane slab arenas
+  /// of mapped pages instead of being heap-allocated eagerly at
+  /// construction (agent_pool.enabled = false). The arithmetic path is
   /// identical in both modes, so results are bit-identical (pinned in
-  /// tests/shard/agent_pool_parity_test.cc); enabling the pool changes only
-  /// residency — ~4x+ fewer bytes per provider at scale, NUMA-homed pages
+  /// tests/shard/agent_pool_parity_test.cc); the pool changes only
+  /// residency — ~6x fewer bytes per provider at scale, NUMA-homed pages
   /// under topology-aware workers.
   mem::AgentPoolConfig agent_pool;
 

@@ -285,6 +285,10 @@ class ShardedMediationSystem : private runtime::ScenarioEngine::Driver {
   const runtime::MediationCore& core(std::size_t shard) const {
     return *cores_[shard];
   }
+  /// Every provider agent, by global index (departed ones included).
+  const std::vector<runtime::ProviderAgent>& providers() const {
+    return engine_.providers();
+  }
 
  private:
   class GossipSink;  // router-side msg::Node ingesting load reports

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
 
 #include "common/rng.h"
 
@@ -178,6 +180,79 @@ TEST_P(ProviderIntentionPropertyTest, SignMatchesDefinitionBranches) {
 
 INSTANTIATE_TEST_SUITE_P(RandomCube, ProviderIntentionPropertyTest,
                          ::testing::Range<std::uint64_t>(0, 20));
+
+// The mediation gather skips Definition 8 wherever IsFullRefusal holds and
+// stores -infinity, which IntentionToUnit maps to +0.0: the skipped value
+// must be <= -1 and map to that same +0.0, bit for bit. The rule rests on
+// pow being faithfully rounded, so bases next to 1 are swept as well.
+void ExpectFullRefusalRule(double prf, double ut, double sat, double eps) {
+  ProviderIntentionParams params;
+  params.epsilon = eps;
+  const ProviderIntentionEvaluator evaluator(ut, sat, params);
+  if (!evaluator.IsFullRefusal(prf)) return;
+  const double value = evaluator.Eval(prf);
+  ASSERT_LE(value, -1.0) << std::hexfloat << prf << " " << ut << " " << sat
+                         << " " << eps;
+  const double unit = IntentionToUnit(value);
+  ASSERT_EQ(unit, 0.0);
+  ASSERT_FALSE(std::signbit(unit));
+}
+
+TEST(ProviderIntentionEvaluatorTest, FullRefusalEdges) {
+  for (double eps : {0.01, 0.5, 1.0, 2.0}) {
+    for (double prf : {-1.0, -0.0, 0.0, 0x1p-53, 1.0}) {
+      for (double ut : {0.0, 1.0 - eps, 1.0, 1.0 + 0x1p-52, 3.0}) {
+        for (double sat : {0.0, 0x1p-53, 0.5, 1.0 - 0x1p-53, 1.0}) {
+          ExpectFullRefusalRule(prf, ut, sat, eps);
+          if (HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+  // Under the paper's eps = 1 every negative-branch intention is one.
+  ProviderIntentionParams paper;
+  EXPECT_TRUE(ProviderIntentionEvaluator(0.3, 0.5, paper).IsFullRefusal(-0.2));
+  EXPECT_TRUE(ProviderIntentionEvaluator(1.0, 0.5, paper).IsFullRefusal(0.9));
+  EXPECT_FALSE(ProviderIntentionEvaluator(0.3, 0.5, paper).IsFullRefusal(0.2));
+  // A base below 1 may give an intention above -1: never a full refusal.
+  ProviderIntentionParams small;
+  small.epsilon = 0.01;
+  EXPECT_FALSE(ProviderIntentionEvaluator(0.5, 0.5, small).IsFullRefusal(-0.5));
+  EXPECT_GT(ProviderIntentionEvaluator(0.5, 0.5, small).Eval(-0.5), -1.0);
+  EXPECT_FALSE(ProviderIntentionEvaluator(1.5, 0.5, small).IsFullRefusal(0.5));
+  // The ablation modes evaluate no pow; they never report one.
+  for (ProviderIntentionMode mode : {ProviderIntentionMode::kPreferenceOnly,
+                                     ProviderIntentionMode::kUtilizationOnly}) {
+    ProviderIntentionParams ablation;
+    ablation.mode = mode;
+    EXPECT_FALSE(
+        ProviderIntentionEvaluator(2.0, 0.5, ablation).IsFullRefusal(-1.0));
+  }
+}
+
+TEST_P(ProviderIntentionPropertyTest, FullRefusalImpliesUnitZero) {
+  Rng rng(GetParam() + 1000);
+  const double epsilons[] = {0.01, 0.5, 1.0, 2.0};
+  for (int i = 0; i < 5000; ++i) {
+    const double eps = epsilons[rng.NextBounded(4)];
+    const double sat = rng.NextDouble();
+    // Random draws over the cube.
+    ExpectFullRefusalRule(rng.Uniform(-1.0, 1.0), rng.Uniform(0.0, 3.0), sat,
+                          eps);
+    // Bases next to 1: 1 - prf + eps and ut + eps a few ULPs from 1.
+    const int ulps = static_cast<int>(rng.NextBounded(9)) - 4;
+    double prf_near = std::min(eps, 1.0);
+    double ut_near = std::max(0.0, 1.0 - eps);
+    for (int step = 0; step < std::abs(ulps); ++step) {
+      prf_near = std::nextafter(prf_near, ulps > 0 ? 2.0 : -2.0);
+      ut_near = std::nextafter(ut_near, ulps > 0 ? 4.0 : -1.0);
+    }
+    ExpectFullRefusalRule(prf_near, 1.0 + rng.NextDouble(), sat, eps);
+    ExpectFullRefusalRule(-rng.NextDouble(), ut_near, sat, eps);
+    ExpectFullRefusalRule(prf_near - eps, ut_near, sat, eps);
+    if (HasFatalFailure()) return;
+  }
+}
 
 }  // namespace
 }  // namespace sqlb

@@ -294,5 +294,82 @@ TEST_P(SqlbRankColumnsPropertyTest, MatchesSelectTopNOverFullScores) {
 INSTANTIATE_TEST_SUITE_P(RandomCandidateSets, SqlbRankColumnsPropertyTest,
                          ::testing::Range<std::uint64_t>(0, 12));
 
+// With at least k mutually-willing pairs the kernel never reads another
+// candidate's intentions: replacing every refusing provider intention
+// (<= 0) by -infinity, as the mediation gather does for full refusals,
+// leaves the selection and every willing score bit for bit unchanged.
+TEST(SqlbRankColumnsTest, RefusalPlaceholdersChangeNothingWithKWillingPairs) {
+  Rng rng(97);
+  int checked = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::size_t n = 1 + rng.NextBounded(64);
+    const std::size_t k = 1 + rng.NextBounded(4);
+    const double epsilons[] = {1.0, 0.5, 0.01, 2.0};
+    const double epsilon = epsilons[rng.NextBounded(4)];
+    const double consumer_satisfaction = rng.NextDouble();
+    std::vector<double> pi, ci, ps;
+    std::size_t willing = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      pi.push_back(rng.Bernoulli(0.5) ? rng.Uniform(-2.5, 0.0)
+                                      : rng.Uniform(-0.2, 1.0));
+      ci.push_back(rng.Uniform(-0.5, 1.0));
+      ps.push_back(rng.NextDouble());
+      willing += pi.back() > 0.0 && ci.back() > 0.0;
+    }
+    if (willing < k) continue;
+    std::vector<double> placeholder = pi;
+    for (double& value : placeholder) {
+      if (value <= 0.0) value = -std::numeric_limits<double>::infinity();
+    }
+    std::vector<double> exact_scores, deferred_scores;
+    std::vector<std::size_t> exact_top, deferred_top;
+    SqlbRankColumns(pi.data(), ci.data(), ps.data(), n, consumer_satisfaction,
+                    epsilon, nullptr, k, &exact_scores, &exact_top);
+    SqlbRankColumns(placeholder.data(), ci.data(), ps.data(), n,
+                    consumer_satisfaction, epsilon, nullptr, k,
+                    &deferred_scores, &deferred_top);
+    SCOPED_TRACE(::testing::Message() << "trial " << trial);
+    ASSERT_EQ(deferred_top, exact_top);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (pi[i] > 0.0 && ci[i] > 0.0) {
+        ASSERT_EQ(Bits(deferred_scores[i]), Bits(exact_scores[i])) << i;
+      } else {
+        ASSERT_EQ(deferred_scores[i], -std::numeric_limits<double>::infinity())
+            << i;
+      }
+    }
+    ++checked;
+  }
+  EXPECT_GT(checked, 1000);
+}
+
+// The log-domain score bound rests on this: LnLowerBound(x) <= ln x <=
+// LnLowerBound(x) + kLnLowerBoundSlack over (0, 1], subnormals included.
+TEST(LnLowerBoundTest, BracketsLogOverTheUnitInterval) {
+  const auto check = [](double x) {
+    const double lower = LnLowerBound(x);
+    const double ln = std::log(x);
+    ASSERT_LE(lower, ln) << std::hexfloat << x;
+    ASSERT_LE(ln, lower + kLnLowerBoundSlack) << std::hexfloat << x;
+  };
+  Rng rng(5);
+  for (int i = 0; i < 1000000; ++i) {
+    // Uniform over (0, 1] plus log-uniform magnitudes down to 2^-1022.
+    double x = 1.0 - rng.NextDouble();
+    if (i % 2 == 1) x = std::ldexp(x, -static_cast<int>(rng.NextBounded(1022)));
+    check(x);
+    if (HasFatalFailure()) return;
+  }
+  for (double x : {1.0, std::nextafter(1.0, 0.0), 0.5, std::sqrt(0.5),
+                   std::numeric_limits<double>::min(),
+                   std::numeric_limits<double>::denorm_min(), 0x1p-1070,
+                   0x1.fffffffffffffp-1023, 0x1.8p-1050}) {
+    check(x);
+  }
+  for (int shift = 1; shift <= 52; ++shift) {
+    check(std::ldexp(1.0 - rng.NextDouble() / 2.0, -1022 - shift));
+  }
+}
+
 }  // namespace
 }  // namespace sqlb

@@ -13,7 +13,8 @@
 /// \file
 /// The pooled agent-state substrate's contracts: page alignment and
 /// zero-fill, freelist recycling (a churn/failover free wave feeds the next
-/// admission, nothing returns to the OS), the byte budget surfacing as a
+/// admission; pages return to the OS only when their pool dies), the byte
+/// budget surfacing as a
 /// nullptr status instead of an abort, chunk ownership surviving cross-pool
 /// frees, and PagedRing replicating RingBuffer's push/eviction arithmetic
 /// exactly.
@@ -64,6 +65,38 @@ TEST(PagePoolTest, ByteBudgetExhaustionReturnsNull) {
   EXPECT_EQ(pool.Allocate(), nullptr);  // budget, not abort
   pool.Free(a);
   EXPECT_NE(pool.Allocate(), nullptr);  // freed budget is usable again
+}
+
+TEST(PagePoolTest, MappedPagesAlignZeroRecycleAndKeepTheBudget) {
+  for (std::size_t page_bytes :
+       {std::size_t{4096}, PagePool::kDefaultPageBytes, std::size_t{1} << 20}) {
+    SCOPED_TRACE(page_bytes);
+    // The second round maps its pages after the first pool unmapped its
+    // dirtied ones: fresh pages are zero again.
+    for (int round = 0; round < 2; ++round) {
+      PagePool pool(page_bytes, /*max_bytes=*/3 * page_bytes);
+      std::vector<void*> pages;
+      for (int i = 0; i < 3; ++i) {
+        void* page = pool.Allocate();
+        ASSERT_NE(page, nullptr);
+        EXPECT_EQ(
+            reinterpret_cast<std::uintptr_t>(page) % PagePool::kPageAlignment,
+            0u);
+        const unsigned char* bytes = static_cast<const unsigned char*>(page);
+        for (std::size_t b = 0; b < page_bytes; ++b) {
+          ASSERT_EQ(bytes[b], 0u) << "byte " << b;
+        }
+        std::memset(page, 0xab, page_bytes);
+        pages.push_back(page);
+      }
+      EXPECT_EQ(pool.Allocate(), nullptr);  // the budget still refuses
+      pool.Free(pages[1]);
+      EXPECT_EQ(pool.Allocate(), pages[1]);  // recycled through the freelist
+      EXPECT_EQ(static_cast<const unsigned char*>(pages[1])[0], 0xab);
+      EXPECT_EQ(pool.pages_reserved(), 3u);
+      for (void* page : pages) pool.Free(page);
+    }
+  }
 }
 
 TEST(PagePoolTest, PeakBytesTracksHighWater) {
@@ -255,6 +288,7 @@ TEST(AgentArenaTest, DisabledConfigStillConstructsUsableArena) {
   // The arena type itself is mode-agnostic; enablement is decided by the
   // AgentStore wiring (runtime/agent_store.h), not here.
   AgentPoolConfig config;
+  config.enabled = false;
   AgentArena arena(config);
   EXPECT_EQ(arena.bytes_reserved(), 0u);
   void* block = arena.slabs()->Allocate();

@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/sqlb_method.h"
 #include "methods/capacity_based.h"
@@ -213,6 +217,157 @@ TEST(MonoMediatorTest, MultiProviderQueriesRespectQn) {
   // Every query still completes exactly once (response at the last of the
   // three completions), so conservation holds.
   EXPECT_EQ(result.queries_completed, result.queries_issued);
+}
+
+/// Forwards to SqlbMethod and logs every decision. With `exact` it keeps
+/// the default column needs, so the gather evaluates Definition 8 for every
+/// candidate; without, it asks for SqlbMethod's needs, and counts the
+/// -infinity refusal placeholders it is handed.
+class LoggingSqlb final : public AllocationMethod {
+ public:
+  struct Entry {
+    QueryId query;
+    std::vector<std::uint32_t> providers;
+    std::vector<double> scores;  // the selected ones', in selection order
+  };
+
+  LoggingSqlb(bool exact, std::vector<Entry>* log,
+              std::uint64_t* placeholders)
+      : exact_(exact), log_(log), placeholders_(placeholders) {}
+
+  std::string name() const override { return sqlb_.name(); }
+  AllocationDecision Allocate(const AllocationRequest& request) override {
+    return sqlb_.Allocate(request);
+  }
+  AllocationDecision AllocateColumns(const ColumnarRequest& request) override {
+    for (double pi : request.candidates->provider_intention) {
+      *placeholders_ += std::isinf(pi) ? 1 : 0;
+    }
+    AllocationDecision decision = sqlb_.AllocateColumns(request);
+    Entry entry{request.query->id, {}, {}};
+    for (std::size_t idx : decision.selected) {
+      entry.providers.push_back(request.candidates->ids[idx].index());
+      entry.scores.push_back(decision.scores[idx]);
+    }
+    log_->push_back(std::move(entry));
+    return decision;
+  }
+  CandidateColumnNeeds RequiredColumns() const override {
+    return exact_ ? CandidateColumnNeeds::All() : sqlb_.RequiredColumns();
+  }
+
+ private:
+  SqlbMethod sqlb_;
+  bool exact_;
+  std::vector<Entry>* log_;
+  std::uint64_t* placeholders_;
+};
+
+std::uint64_t Bits(double x) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &x, sizeof bits);
+  return bits;
+}
+
+struct LoggedRun {
+  std::unique_ptr<Service> service;
+  RunResult result;
+  std::vector<LoggingSqlb::Entry> log;
+  std::uint64_t placeholders = 0;
+};
+
+void RunLogged(const SystemConfig& scenario, bool exact, LoggedRun* run) {
+  run->service = Service::Create(MonoConfig(scenario), [=](std::uint32_t) {
+    return std::make_unique<LoggingSqlb>(exact, &run->log, &run->placeholders);
+  });
+  run->result = run->service->Run().run;
+}
+
+/// SqlbMethod drops CandidateColumnNeeds::exact_refusals, so the gather
+/// leaves -infinity for provable full refusals whenever k pairs are
+/// mutually willing. The run must be bit for bit the run in which every
+/// Definition-8 intention is exact: the same results, decisions and
+/// provider windows.
+void ExpectDeferralInvisible(const SystemConfig& scenario,
+                             bool expect_placeholders) {
+  LoggedRun deferred, exact;
+  RunLogged(scenario, /*exact=*/false, &deferred);
+  RunLogged(scenario, /*exact=*/true, &exact);
+  EXPECT_EQ(exact.placeholders, 0u);
+  if (expect_placeholders) {
+    EXPECT_GT(deferred.placeholders, 0u);
+  } else {
+    EXPECT_EQ(deferred.placeholders, 0u);
+  }
+
+  const RunResult& a = deferred.result;
+  const RunResult& b = exact.result;
+  ASSERT_GT(a.queries_completed, 0u);
+  EXPECT_EQ(a.queries_issued, b.queries_issued);
+  EXPECT_EQ(a.queries_completed, b.queries_completed);
+  EXPECT_EQ(a.queries_infeasible, b.queries_infeasible);
+  EXPECT_EQ(a.response_time.count(), b.response_time.count());
+  EXPECT_EQ(Bits(a.response_time.mean()), Bits(b.response_time.mean()));
+  EXPECT_EQ(Bits(a.response_time.variance()),
+            Bits(b.response_time.variance()));
+  EXPECT_EQ(Bits(a.response_time_all.sum()), Bits(b.response_time_all.sum()));
+  EXPECT_EQ(a.departures.size(), b.departures.size());
+  ASSERT_EQ(a.series.Names(), b.series.Names());
+  for (const std::string& name : a.series.Names()) {
+    const auto& sa = a.series.Find(name)->samples;
+    const auto& sb = b.series.Find(name)->samples;
+    ASSERT_EQ(sa.size(), sb.size()) << name;
+    for (std::size_t i = 0; i < sa.size(); ++i) {
+      ASSERT_EQ(Bits(sa[i].second), Bits(sb[i].second)) << name << " " << i;
+    }
+  }
+
+  ASSERT_EQ(deferred.log.size(), exact.log.size());
+  for (std::size_t i = 0; i < deferred.log.size(); ++i) {
+    const LoggingSqlb::Entry& x = deferred.log[i];
+    const LoggingSqlb::Entry& y = exact.log[i];
+    ASSERT_EQ(x.query, y.query) << "decision " << i;
+    ASSERT_EQ(x.providers, y.providers) << "decision " << i;
+    for (std::size_t j = 0; j < x.scores.size(); ++j) {
+      ASSERT_EQ(Bits(x.scores[j]), Bits(y.scores[j])) << "decision " << i;
+    }
+  }
+
+  const auto& pa = deferred.service->sharded_system()->providers();
+  const auto& pb = exact.service->sharded_system()->providers();
+  ASSERT_EQ(pa.size(), pb.size());
+  using Channel = ProviderWindow::Channel;
+  for (std::size_t p = 0; p < pa.size(); ++p) {
+    const ProviderWindow& wa = pa[p].window();
+    const ProviderWindow& wb = pb[p].window();
+    for (Channel c : {Channel::kIntention, Channel::kPreference}) {
+      ASSERT_EQ(Bits(wa.Sum(c)), Bits(wb.Sum(c))) << "provider " << p;
+      ASSERT_EQ(Bits(wa.PerformedSum(c)), Bits(wb.PerformedSum(c)))
+          << "provider " << p;
+    }
+    ASSERT_EQ(wa.performed_in_window(), wb.performed_in_window()) << p;
+    ASSERT_EQ(wa.size(), wb.size()) << p;
+    ASSERT_EQ(wa.proposed(), wb.proposed()) << p;
+  }
+}
+
+TEST(MonoMediatorTest, DeferredRefusalsAreBitIdenticalToExactIntentions) {
+  // Near saturation, with two providers per query: overloaded and
+  // unwilling providers are full refusals under the paper's eps = 1.
+  SystemConfig config = SmallConfig(1.0, 13);
+  config.query_n = 2;
+  ExpectDeferralInvisible(config, /*expect_placeholders=*/true);
+}
+
+TEST(MonoMediatorTest, NoMutuallyWillingPairFallsBackToExactIntentions) {
+  // Definition 7 as written, with every reputation at its initial 0 and no
+  // feedback: each consumer intention takes the negative branch, so no
+  // pair is mutually willing and the gather must evaluate every deferred
+  // refusal before SQLB ranks the negative scores.
+  SystemConfig config = SmallConfig(0.8, 17);
+  config.consumer.intention.mode = ConsumerIntentionMode::kFormula;
+  ASSERT_FALSE(config.reputation_feedback);
+  ExpectDeferralInvisible(config, /*expect_placeholders=*/false);
 }
 
 TEST(MonoMediatorDeathTest, RunTwiceAborts) {

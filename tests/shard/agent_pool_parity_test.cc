@@ -11,8 +11,8 @@
 
 /// \file
 /// The pooled agent-state bit-identity contract (runtime/agent_store.h,
-/// mem/): a run with SystemConfig::agent_pool.enabled is bit-for-bit the
-/// run with the legacy eager heap layout — same counters, same
+/// mem/): a run with SystemConfig::agent_pool.enabled (the default) is
+/// bit-for-bit the run with the eager heap layout — same counters, same
 /// response-time statistics, same series, same ownership digests — across
 /// every path that moves agent state between containers: single-query and
 /// batched intake, churn-driven rebalancing handoffs (resident chunks
@@ -119,6 +119,7 @@ RunResult RunMono(const SystemConfig& base) {
 
 TEST(AgentPoolParityTest, MonoRunIsBitIdenticalWithPoolOn) {
   SystemConfig heap = SmallConfig(0.9, 23);
+  heap.agent_pool.enabled = false;
   heap.departures = runtime::DepartureConfig::AllEnabled();
   heap.departures.grace_period = 60.0;
   heap.departures.check_interval = 30.0;
@@ -139,6 +140,7 @@ TEST(AgentPoolParityTest, ChurnWithRebalancingIsBitIdenticalWithPoolOn) {
 
   ShardedSystemConfig heap;
   heap.base = base;
+  heap.base.agent_pool.enabled = false;
   heap.router.num_shards = 4;
   heap.router.policy = RoutingPolicy::kLocality;
   heap.rerouting_enabled = false;
@@ -177,6 +179,7 @@ TEST(AgentPoolParityTest, FailoverIsBitIdenticalWithPoolOn) {
 
   ShardedSystemConfig heap;
   heap.base = base;
+  heap.base.agent_pool.enabled = false;
   heap.router.num_shards = 4;
   heap.router.policy = RoutingPolicy::kLocality;
   heap.rerouting_enabled = false;
@@ -203,6 +206,7 @@ TEST(AgentPoolParityTest, FailoverIsBitIdenticalWithPoolOn) {
 TEST(AgentPoolParityTest, BatchedIntakeIsBitIdenticalWithPoolOn) {
   ShardedSystemConfig heap;
   heap.base = SmallConfig(1.0, 59);
+  heap.base.agent_pool.enabled = false;
   heap.router.num_shards = 4;
   heap.router.policy = RoutingPolicy::kLocality;
   heap.batch_window = 0.5;
@@ -216,14 +220,14 @@ TEST(AgentPoolParityTest, BatchedIntakeIsBitIdenticalWithPoolOn) {
   ExpectIdenticalShardedRuns(heap_run, pooled_run);
 }
 
-/// The pooled mode must actually pool: with the pool on, the engine's
-/// arenas hold the queue/window chunks that the heap mode kept in
-/// per-agent containers.
+/// The pooled mode must actually pool: with the pool on — the default —
+/// the engine's arenas hold the queue/window chunks that the heap mode
+/// kept in per-agent containers.
 TEST(AgentPoolParityTest, PooledRunReservesArenaPages) {
   sqlb::Config config;
   config.mode = Mode::kMono;
   config.scenario() = SmallConfig(1.0, 61);
-  config.scenario().agent_pool.enabled = true;
+  ASSERT_TRUE(config.scenario().agent_pool.enabled);
   const ShardedRunResult result =
       Service::Create(config, SqlbFactory())->Run();
   ASSERT_GT(result.run.queries_completed, 0u);
