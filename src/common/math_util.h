@@ -4,6 +4,10 @@
 #include <algorithm>
 #include <cmath>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 /// \file
 /// Small numeric helpers shared by the intention/score formulas (Section 5 of
 /// the paper), which are products of powers with exponents in [0, 1].
@@ -39,9 +43,21 @@ inline bool ApproxEqual(double a, double b, double eps = 1e-12) {
 inline double Lerp(double a, double b, double t) { return a + (b - a) * t; }
 
 /// Maps an intention in [-1, 1] to the satisfaction scale [0, 1] via
-/// (x + 1) / 2, the transform used in Eqs. 1-2 and Defs. 4-5.
+/// (x + 1) / 2, the transform used in Eqs. 1-2 and Defs. 4-5. On x86 the
+/// clamp is maxsd/minsd, free of branches: a window notify sweep clamps a
+/// -infinity refusal placeholder on about every other candidate, and the
+/// portable formula compiles to a compare and jump on it. maxsd returns its
+/// second operand when unordered and minsd its first only when smaller,
+/// exactly std::max(-1.0, x) and std::min(1.0, .) (NaN maps to -1), so the
+/// result is bit-identical to the portable formula.
 inline double IntentionToUnit(double intention) {
+#if defined(__SSE2__)
+  const __m128d clamped = _mm_min_sd(
+      _mm_max_sd(_mm_set_sd(intention), _mm_set_sd(-1.0)), _mm_set_sd(1.0));
+  return (_mm_cvtsd_f64(clamped) + 1.0) / 2.0;
+#else
   return (ClampIntention(intention) + 1.0) / 2.0;
+#endif
 }
 
 }  // namespace sqlb

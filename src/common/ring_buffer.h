@@ -64,17 +64,6 @@ class RingBuffer {
     size_ = 0;
   }
 
-  /// Hints the prefetcher at the slot the next Push will write (and, when
-  /// full, read the evicted value from). The windows' backing rings are
-  /// scattered heap blocks — one per provider — so a gather/notify sweep
-  /// over a large candidate set eats one cache miss per ring without this.
-  void PrefetchPushSlot() const {
-#if defined(__GNUC__) || defined(__clang__)
-    const std::size_t slot = size_ < capacity_ ? size_ : head_;
-    __builtin_prefetch(&buffer_[slot], 1 /*write*/, 1);
-#endif
-  }
-
   /// Calls fn(const T&) for each retained element, oldest first.
   template <typename Fn>
   void ForEach(Fn&& fn) const {

@@ -6,16 +6,19 @@
 
 namespace sqlb {
 
-void CandidateColumns::Clear() {
-  ids.clear();
-  consumer_intention.clear();
-  provider_intention.clear();
-  provider_satisfaction.clear();
+void CandidateColumns::Clear() { ResizeRequired(0); }
+
+void CandidateColumns::ResizeRequired(std::size_t n) {
+  ids.resize(n);
+  consumer_intention.resize(n);
+  provider_intention.resize(n);
+  provider_satisfaction.resize(n);
   utilization.clear();
   capacity.clear();
   backlog_seconds.clear();
   bid_price.clear();
   estimated_delay.clear();
+  willing.clear();
 }
 
 void CandidateColumns::Reserve(std::size_t n) {
@@ -28,9 +31,14 @@ void CandidateColumns::Reserve(std::size_t n) {
   backlog_seconds.reserve(n);
   bid_price.reserve(n);
   estimated_delay.reserve(n);
+  willing.reserve(n);
 }
 
 void CandidateColumns::Push(const CandidateProvider& candidate) {
+  if (candidate.provider_intention > 0.0 &&
+      candidate.consumer_intention > 0.0) {
+    willing.push_back(static_cast<std::uint32_t>(ids.size()));
+  }
   ids.push_back(candidate.id);
   consumer_intention.push_back(candidate.consumer_intention);
   provider_intention.push_back(candidate.provider_intention);

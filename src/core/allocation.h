@@ -2,6 +2,7 @@
 #define SQLB_CORE_ALLOCATION_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -73,12 +74,22 @@ struct CandidateColumns {
   std::vector<double> backlog_seconds;
   std::vector<double> bid_price;
   std::vector<double> estimated_delay;
+  /// The indices of the mutually-willing pairs (provider and consumer
+  /// intention both > 0), ascending: Push appends each one, and the
+  /// mediation gather lists them during its Definition-8 pass.
+  std::vector<std::uint32_t> willing;
 
   std::size_t size() const { return ids.size(); }
   bool empty() const { return ids.empty(); }
   void Clear();
+  /// Sizes the four always-filled columns (ids, both intentions, provider
+  /// satisfaction) to `n`, to be written by index with their old values
+  /// left in place, and empties the optional columns and the willing list:
+  /// the mediation gather's reset, which pays no fill for the n slots.
+  void ResizeRequired(std::size_t n);
   void Reserve(std::size_t n);
-  /// Appends one candidate across every column.
+  /// Appends one candidate across every column, and its index to `willing`
+  /// when the pair is mutually willing.
   void Push(const CandidateProvider& candidate);
   /// Gathers candidate `i` back into the AoS view.
   CandidateProvider At(std::size_t i) const;

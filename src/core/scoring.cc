@@ -1,6 +1,7 @@
 #include "core/scoring.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -90,6 +91,8 @@ void SqlbRankColumns(const double* provider_intention,
                      const double* provider_satisfaction, std::size_t count,
                      double consumer_satisfaction, double epsilon,
                      const double* fixed_omega, std::size_t k,
+                     const std::vector<std::uint32_t>& willing,
+                     std::vector<std::uint32_t>* index_scratch,
                      std::vector<double>* scores,
                      std::vector<std::size_t>* top) {
   std::vector<double>& score_of = *scores;
@@ -99,16 +102,30 @@ void SqlbRankColumns(const double* provider_intention,
   if (k == 0) return;
   best.reserve(std::min(k, count));
   double kth = 0.0;     // score_of[best.back()] once `best` holds k entries
-  double ln_kth = 0.0;  // LnLowerBound(kth) while kth > 0
+  double ln_kth = 0.0;  // LnLowerBound(|kth|) while kth != 0
   // The mutually-willing pairs first. Their scores are >= 0 and every
   // other one is < 0 (one base of its negative branch exceeds 1, the other
   // is >= epsilon), so the rest matter only when fewer than k are willing.
-  for (const bool willing : {true, false}) {
-    if (!willing && best.size() == k) break;
-    for (std::size_t i = 0; i < count; ++i) {
+  for (const bool willing_sweep : {true, false}) {
+    if (!willing_sweep && best.size() == k) break;
+    const std::uint32_t* order = willing.data();
+    std::size_t n = willing.size();
+    if (!willing_sweep) {
+      // Willingness is a coin flip per candidate, so the rest are compacted
+      // with a store and a conditional increment, not a branch.
+      std::vector<std::uint32_t>& rest = *index_scratch;
+      rest.resize(count);
+      n = 0;
+      for (std::size_t i = 0; i < count; ++i) {
+        rest[n] = static_cast<std::uint32_t>(i);
+        n += !((provider_intention[i] > 0.0) & (consumer_intention[i] > 0.0));
+      }
+      order = rest.data();
+    }
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::size_t i = order[j];
       const double pi = provider_intention[i];
       const double ci = consumer_intention[i];
-      if ((pi > 0.0 && ci > 0.0) != willing) continue;
       const double omega =
           fixed_omega != nullptr
               ? *fixed_omega
@@ -118,12 +135,18 @@ void SqlbRankColumns(const double* provider_intention,
         // Strict: a tie or a NaN bound is scored.
         const double w = Clamp(omega, 0.0, 1.0);
         if (ScoreUpperBound(pi, ci, w, epsilon) < kth) continue;
-        // ln score = w ln pi + (1 - w) ln ci, each ln at most
-        // kLnLowerBoundSlack above its bound.
-        if (willing && kth > 0.0 &&
-            w * LnLowerBound(pi) + (1.0 - w) * LnLowerBound(ci) +
-                    kLogBoundSlack <
-                ln_kth) {
+        // ln |score| = w ln a + (1 - w) ln b over the branch's bases a, b,
+        // each ln at most kLnLowerBoundSlack above its bound.
+        if (willing_sweep) {
+          if (kth > 0.0 && w * LnLowerBound(pi) + (1.0 - w) * LnLowerBound(ci) +
+                                   kLogBoundSlack <
+                               ln_kth) {
+            continue;
+          }
+        } else if (kth < 0.0 &&
+                   w * LnLowerBound(1.0 - pi + epsilon) +
+                           (1.0 - w) * LnLowerBound(1.0 - ci + epsilon) >
+                       ln_kth + kLogBoundSlack) {
           continue;
         }
       }
@@ -141,7 +164,7 @@ void SqlbRankColumns(const double* provider_intention,
       best.insert(best.begin() + static_cast<std::ptrdiff_t>(pos), i);
       if (best.size() == k) {
         kth = score_of[best.back()];
-        if (kth > 0.0) ln_kth = LnLowerBound(kth);
+        if (kth != 0.0) ln_kth = LnLowerBound(std::fabs(kth));
       }
     }
   }

@@ -2,6 +2,7 @@
 #define SQLB_CORE_SCORING_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 /// \file
@@ -36,27 +37,33 @@ double ProviderScore(double provider_intention, double consumer_intention,
 /// and the best min(k, count) indices into `top` in SelectTopN's order
 /// (higher score, then lower index).
 ///
-/// A first sweep in index order ranks only the mutually-willing pairs
-/// (provider and consumer intention both > 0), keeping the running best k.
-/// Every other score is negative, so a second sweep over the rest runs only
-/// when fewer than k pairs are willing. Once the running best holds k, a
-/// candidate is scored only when a pow-free upper bound on its score reaches
-/// the k-th best exact score: the weighted arithmetic mean on the positive
-/// branch (widened by 2^-40), then w ln pi + (1 - w) ln ci from
-/// LnLowerBound (widened by 2^-16); minus the smaller base on the negative
-/// one. `scores[i]` is ProviderScore bit for bit for each scored candidate
-/// and -infinity for each skipped one.
+/// A first sweep ranks only the mutually-willing pairs (provider and
+/// consumer intention both > 0), keeping the running best k: those listed
+/// in `willing`, ascending (CandidateColumns::willing). Every other score
+/// is negative, so a second sweep over the rest, compacted into
+/// `*index_scratch`, runs only when fewer than k pairs are willing. Once
+/// the running best holds k,
+/// a candidate is scored only when a pow-free upper bound on its score
+/// reaches the k-th best exact score: on the positive branch the weighted
+/// arithmetic mean (widened by 2^-40), then w ln pi + (1 - w) ln ci from
+/// LnLowerBound (widened by 2^-16); on the negative one minus the smaller
+/// base, then the same log bound over the bases 1 - pi + epsilon and
+/// 1 - ci + epsilon against a negative k-th best. `scores[i]` is
+/// ProviderScore bit for bit for each scored candidate and -infinity for
+/// each skipped one.
 ///
-/// The bounds hold for intentions <= 1, as Definitions 7-8 produce. When at
-/// least k pairs are mutually willing, no other candidate's intentions are
-/// read, so a provider intention may then be -infinity for a refusing
-/// provider (CandidateColumnNeeds::exact_refusals). O(count * k) worst
-/// case; Algorithm 1's q.n is small.
+/// The bounds hold for finite intentions <= 1, as Definitions 7-8 produce.
+/// When at least k pairs are mutually willing, no other candidate's
+/// intentions are read, so a provider intention may then be -infinity for
+/// a refusing provider (CandidateColumnNeeds::exact_refusals). O(count * k)
+/// worst case; Algorithm 1's q.n is small.
 void SqlbRankColumns(const double* provider_intention,
                      const double* consumer_intention,
                      const double* provider_satisfaction, std::size_t count,
                      double consumer_satisfaction, double epsilon,
                      const double* fixed_omega, std::size_t k,
+                     const std::vector<std::uint32_t>& willing,
+                     std::vector<std::uint32_t>* index_scratch,
                      std::vector<double>* scores,
                      std::vector<std::size_t>* top);
 

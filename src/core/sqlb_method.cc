@@ -35,7 +35,8 @@ AllocationDecision SqlbMethod::AllocateColumns(const ColumnarRequest& request) {
                   options_.fixed_omega.has_value() ? &*options_.fixed_omega
                                                    : nullptr,
                   SelectionCount(*request.query, columns.size()),
-                  &decision.scores, &decision.selected);
+                  columns.willing, &index_scratch_, &decision.scores,
+                  &decision.selected);
   return decision;
 }
 

@@ -1,6 +1,7 @@
 #ifndef SQLB_CORE_SQLB_METHOD_H_
 #define SQLB_CORE_SQLB_METHOD_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -66,6 +67,8 @@ class SqlbMethod final : public AllocationMethod {
   SqlbOptions options_;
   /// Allocate's columnar copy of the request (reused across calls).
   CandidateColumns columns_;
+  /// The ranking kernel's candidate-index scratch (reused across calls).
+  std::vector<std::uint32_t> index_scratch_;
 };
 
 }  // namespace sqlb

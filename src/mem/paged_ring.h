@@ -1,7 +1,10 @@
 #ifndef SQLB_MEM_PAGED_RING_H_
 #define SQLB_MEM_PAGED_RING_H_
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -14,7 +17,7 @@
 /// Fixed-capacity ring over lazily-allocated chunks — the pooled replacement
 /// for the eagerly-sized RingBuffer behind the provider characterization
 /// windows. Push/eviction semantics replicate common/ring_buffer.h exactly
-/// (same index arithmetic, same evicted element), so a window running on a
+/// (same slot order, same evicted element), so a window running on a
 /// PagedRing is bit-identical to one on a RingBuffer; only the backing
 /// storage differs. In eager mode every chunk is heap-allocated up front
 /// (the honest AoS-baseline residency: the legacy RingBuffer sized its
@@ -41,10 +44,13 @@ class PagedRing {
   static_assert(kChunkCapacity >= 1, "chunk too small for one element");
 
   PagedRing(std::size_t capacity, bool lazy)
-      : capacity_(capacity),
-        num_chunks_((capacity + kChunkCapacity - 1) / kChunkCapacity),
+      : capacity_(static_cast<std::uint32_t>(capacity)),
+        num_chunks_(static_cast<std::uint32_t>(
+            (capacity + kChunkCapacity - 1) / kChunkCapacity)),
         chunks_(new ChunkHeader*[num_chunks_]()) {
-    SQLB_CHECK(capacity >= 1, "PagedRing capacity must be >= 1");
+    SQLB_CHECK(capacity >= 1 &&
+                   capacity <= std::numeric_limits<std::uint32_t>::max(),
+               "PagedRing capacity must be in [1, 2^32)");
     if (!lazy) {
       for (std::size_t c = 0; c < num_chunks_; ++c) {
         chunks_[c] = NewChunk(nullptr);
@@ -69,11 +75,15 @@ class PagedRing {
         resident_chunks_(other.resident_chunks_),
         pool_(other.pool_),
         head_(other.head_),
-        size_(other.size_) {
+        size_(other.size_),
+        cursor_(other.cursor_),
+        chunk_end_(other.chunk_end_) {
     other.chunks_.reset(new ChunkHeader*[other.num_chunks_]());
     other.resident_chunks_ = 0;
     other.head_ = 0;
     other.size_ = 0;
+    other.cursor_ = nullptr;
+    other.chunk_end_ = nullptr;
   }
 
   /// Wires (or rewires) the pool lazy chunks come from; already-resident
@@ -86,19 +96,19 @@ class PagedRing {
   bool full() const { return size_ == capacity_; }
 
   /// Appends `value`; if full, evicts and returns the oldest element —
-  /// exactly RingBuffer::Push.
+  /// exactly RingBuffer::Push. Writes through the cursor, which is
+  /// recomputed only when it reaches the end of its chunk.
   bool Push(T value, T* evicted = nullptr) {
-    if (size_ < capacity_) {
-      // Only eviction at capacity moves head_, so it is 0 here.
-      *MutableSlot(size_) = value;
+    if (cursor_ == chunk_end_) SeekCursor();
+    const bool full = size_ == capacity_;
+    if (full) {
+      if (evicted != nullptr) *evicted = *cursor_;
+      if (++head_ == capacity_) head_ = 0;
+    } else {
       ++size_;
-      return false;
     }
-    T* head_slot = MutableSlot(head_);
-    if (evicted != nullptr) *evicted = *head_slot;
-    *head_slot = value;
-    if (++head_ == capacity_) head_ = 0;
-    return true;
+    *cursor_++ = value;
+    return full;
   }
 
   /// Element i = 0 is the oldest retained element.
@@ -110,16 +120,12 @@ class PagedRing {
     return Slots(c)[physical % kChunkCapacity];
   }
 
-  /// Hints the prefetcher at the slot the next Push will write — the
-  /// PagedRing analogue of RingBuffer::PrefetchPushSlot. A lazy slot whose
-  /// chunk is not resident yet has no address to prefetch.
+  /// Hints the prefetcher at the slot the next Push will write: the
+  /// cursor. Before the first Push and at a chunk's end the cursor is null
+  /// or one past the chunk, and the hint (which never faults) is wasted.
   void PrefetchPushSlot() const {
 #if defined(__GNUC__) || defined(__clang__)
-    const std::size_t physical = size_ < capacity_ ? size_ : head_;
-    const ChunkHeader* c = chunks_[physical / kChunkCapacity];
-    if (c != nullptr) {
-      __builtin_prefetch(&Slots(c)[physical % kChunkCapacity], 1, 1);
-    }
+    __builtin_prefetch(cursor_, 1, 1);
 #endif
   }
 
@@ -158,23 +164,35 @@ class PagedRing {
     }
   }
 
-  T* MutableSlot(std::size_t physical) {
-    ChunkHeader*& c = chunks_[physical / kChunkCapacity];
+  /// Points the cursor at the next Push's slot, physical index size_ while
+  /// filling and head_ once full, materializing its chunk if it is lazy,
+  /// and sets chunk_end_ past the last ring slot of that chunk.
+  void SeekCursor() {
+    const std::size_t physical = size_ < capacity_ ? size_ : head_;
+    const std::size_t chunk = physical / kChunkCapacity;
+    ChunkHeader*& c = chunks_[chunk];
     if (c == nullptr) {
       c = NewChunk(pool_);
       SQLB_CHECK(c != nullptr,
                  "agent pool out of memory: raise agent_pool.max_bytes");
     }
-    return Slots(c) + physical % kChunkCapacity;
+    cursor_ = Slots(c) + physical % kChunkCapacity;
+    chunk_end_ = Slots(c) + std::min(kChunkCapacity,
+                                     capacity_ - chunk * kChunkCapacity);
   }
 
-  const std::size_t capacity_;
-  const std::size_t num_chunks_;
+  // 32-bit indices keep the ring, cursor included, at seven words.
+  const std::uint32_t capacity_;
+  const std::uint32_t num_chunks_;
   std::unique_ptr<ChunkHeader*[]> chunks_;
   std::size_t resident_chunks_ = 0;
   SlabPool* pool_ = nullptr;
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
+  std::uint32_t head_ = 0;
+  std::uint32_t size_ = 0;
+  // The next Push's slot, and one past the ring's last slot in its chunk;
+  // both null until the first Push.
+  T* cursor_ = nullptr;
+  T* chunk_end_ = nullptr;
 };
 
 }  // namespace sqlb::mem

@@ -113,7 +113,7 @@ class ProviderWindow {
   void Record(double shown_intention, double preference, bool performed);
 
   /// Prefetch hint for a bulk notify sweep: pulls the ring slot the next
-  /// Record will touch (see RingBuffer::PrefetchPushSlot).
+  /// Record will touch (PagedRing::PrefetchPushSlot).
   void PrefetchRecordSlot() const { entries_.PrefetchPushSlot(); }
 
   /// The two value channels of the window.

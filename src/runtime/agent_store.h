@@ -48,9 +48,6 @@ class AgentStore {
   }
   std::uint64_t& load_revision(std::size_t i) { return load_revision_[i]; }
   std::uint64_t& char_revision(std::size_t i) { return char_revision_[i]; }
-  const std::uint64_t* char_revision_data() const {
-    return char_revision_.data();
-  }
   std::uint64_t& util_revision(std::size_t i) { return util_revision_[i]; }
   double& util_sum(std::size_t i) { return util_sum_[i]; }
   SimTime& util_last_time(std::size_t i) { return util_last_time_[i]; }

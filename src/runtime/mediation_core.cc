@@ -168,11 +168,19 @@ void MediationCore::GatherCandidates(const Query& query,
   // only the per-(query, provider) terms — preferences, consumer intention,
   // the preference pow of Definition 8, the asking price — are computed
   // fresh, straight into the SoA columns the scoring kernels consume.
-  columns->Clear();
-  columns->Reserve(pq.size());
-  prefs->clear();
-  prefs->reserve(pq.size());
-  cache_stats_.lookups += pq.size();
+  const std::size_t n = pq.size();
+  columns->ResizeRequired(n);
+  prefs->resize(n);
+  std::copy(pq.begin(), pq.end(), columns->ids.begin());
+  double* const ci = columns->consumer_intention.data();
+  double* const pi = columns->provider_intention.data();
+  double* const sat = columns->provider_satisfaction.data();
+  double* const pref = prefs->data();
+  // Both preference draws, one tight loop each. The consumer's lands in the
+  // consumer-intention column and turns into CI_q[p] in place below.
+  shared_.population->ConsumerPreferences(query.consumer, pq.data(), n, ci);
+  shared_.population->ProviderPreferences(pq.data(), n, query.id, pref);
+  cache_stats_.lookups += n;
   const CandidateColumnNeeds& needs = column_needs_;
   // With upsilon = 1 preference-only consumer intentions (the paper's
   // setup) the registry read is dead weight per candidate; Get is pure, so
@@ -183,38 +191,28 @@ void MediationCore::GatherCandidates(const Query& query,
   const bool defer_refusals = !needs.exact_refusals;
   // The refusal test is a coin flip per candidate, so the candidates are
   // partitioned without a branch, and Definition 8 runs in a second pass.
-  scratch_evaluators_.resize(pq.size());
-  scratch_exact_.resize(pq.size());
-  scratch_refusals_.resize(pq.size());
+  scratch_evaluators_.resize(n);
+  scratch_exact_.resize(n);
+  scratch_refusals_.resize(n);
   std::size_t exact = 0;
   std::size_t refused = 0;
-  constexpr std::size_t kPrefetchAhead = 8;
-  for (std::size_t c = 0; c < pq.size(); ++c) {
+  for (std::size_t c = 0; c < n; ++c) {
     const ProviderId pid = pq[c];
-    if (c + kPrefetchAhead < pq.size()) {
-      // The cache entries are indexed by provider — sequential for the
-      // AcceptAll member walk — but each agent's stamp line is scattered.
-      providers[pq[c + kPrefetchAhead].index()].PrefetchCharacterizationStamp();
-    }
     const MemberCharacterization& mc = Characterize(pid.index(), now);
-    const double consumer_pref =
-        shared_.population->ConsumerPreference(query.consumer, pid);
-    const double provider_pref =
-        shared_.population->ProviderPreference(pid, query.id);
-    const double ci = consumer.ComputeIntention(
-        consumer_pref, read_reputation ? shared_.reputation->Get(pid) : 0.0);
+    // ApplyDecision's notify sweep writes this slot. Issued here, the 400
+    // or so lines arrive long before that; a look-ahead there misses L2.
+    providers[pid.index()].PrefetchProposalSlot();
+    ci[c] = consumer.ComputeIntention(
+        ci[c], read_reputation ? shared_.reputation->Get(pid) : 0.0);
     const bool refusal =
-        defer_refusals & mc.evaluator.IsFullRefusal(provider_pref);
+        defer_refusals & mc.evaluator.IsFullRefusal(pref[c]);
     scratch_evaluators_[c] = &mc.evaluator;
     scratch_exact_[exact] = c;
     exact += !refusal;
     scratch_refusals_[refused] = c;
     refused += refusal;
-    columns->ids.push_back(pid);
-    columns->consumer_intention.push_back(ci);
-    columns->provider_intention.push_back(
-        -std::numeric_limits<double>::infinity());
-    columns->provider_satisfaction.push_back(mc.snap.satisfaction_intentions);
+    pi[c] = -std::numeric_limits<double>::infinity();
+    sat[c] = mc.snap.satisfaction_intentions;
     if (needs.utilization) {
       columns->utilization.push_back(mc.snap.utilization);
     }
@@ -226,28 +224,32 @@ void MediationCore::GatherCandidates(const Query& query,
     }
     if (needs.bid_price) {
       columns->bid_price.push_back(
-          providers[pid.index()].ComputeBidPrice(provider_pref));
+          providers[pid.index()].ComputeBidPrice(pref[c]));
     }
     if (needs.estimated_delay) {
       columns->estimated_delay.push_back(mc.snap.backlog_seconds +
                                          query.units / mc.snap.capacity);
     }
-    prefs->push_back(provider_pref);
   }
-  std::size_t willing = 0;
+  // Definition 8, listing the mutually-willing pairs on the way (ascending,
+  // with a store and a conditional increment: willingness is a coin flip
+  // too). A deferred refusal is never willing, so the list is complete.
+  std::vector<std::uint32_t>& willing = columns->willing;
+  willing.resize(exact);
+  std::size_t n_willing = 0;
   for (std::size_t j = 0; j < exact; ++j) {
     const std::size_t c = scratch_exact_[j];
-    const double pi = scratch_evaluators_[c]->Eval((*prefs)[c]);
-    columns->provider_intention[c] = pi;
-    willing += pi > 0.0 && columns->consumer_intention[c] > 0.0;
+    pi[c] = scratch_evaluators_[c]->Eval(pref[c]);
+    willing[n_willing] = static_cast<std::uint32_t>(c);
+    n_willing += (pi[c] > 0.0) & (ci[c] > 0.0);
   }
+  willing.resize(n_willing);
   // Too few willing pairs: the ranking reaches into the refusals, so they
   // get their exact values too.
-  if (willing < SelectionCount(query, pq.size())) {
+  if (n_willing < SelectionCount(query, n)) {
     for (std::size_t j = 0; j < refused; ++j) {
       const std::size_t c = scratch_refusals_[j];
-      columns->provider_intention[c] =
-          scratch_evaluators_[c]->Eval((*prefs)[c]);
+      pi[c] = scratch_evaluators_[c]->Eval(pref[c]);
     }
   }
 
@@ -327,15 +329,11 @@ MediationCore::Outcome MediationCore::ApplyDecision(
                "provider selected twice for one query");
     scratch_selected_mask_[idx] = 1;
   }
-  constexpr std::size_t kPrefetchAhead = 8;
+  // The gather prefetched each window slot this sweep writes.
   for (std::size_t i = 0; i < columns.size(); ++i) {
-    if (i + kPrefetchAhead < columns.size()) {
-      providers[columns.ids[i + kPrefetchAhead].index()]
-          .PrefetchProposalSlot();
-    }
-    ProviderAgent& agent = providers[columns.ids[i].index()];
-    agent.OnProposed(columns.provider_intention[i], provider_prefs[i],
-                     scratch_selected_mask_[i] != 0);
+    providers[columns.ids[i].index()].OnProposed(
+        columns.provider_intention[i], provider_prefs[i],
+        scratch_selected_mask_[i] != 0);
   }
 
   // Consumer characterization: Eq. 1 over P_q, Eq. 2 over the selection

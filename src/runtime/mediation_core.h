@@ -366,9 +366,11 @@ class MediationCore {
   void DepartProvider(std::size_t index, DepartureReason reason, SimTime now);
   /// Fills `columns`/`prefs` with the per-query candidate gather for
   /// `query` over `pq` at `now`, reading the query-independent fields from
-  /// the characterization cache. A method without exact_refusals gets a
-  /// -infinity provider intention for each provable full refusal whenever
-  /// at least k = min(q.n, |pq|) pairs are mutually willing.
+  /// the characterization cache, lists the mutually-willing pairs in
+  /// `columns->willing`, and prefetches each candidate's window slot for
+  /// ApplyDecision. A method without exact_refusals gets a -infinity
+  /// provider intention for each provable full refusal whenever at least
+  /// k = min(q.n, |pq|) pairs are mutually willing.
   void GatherCandidates(const Query& query, const std::vector<ProviderId>& pq,
                         SimTime now, CandidateColumns* columns,
                         std::vector<double>* prefs);

@@ -180,19 +180,10 @@ class ProviderAgent {
   /// result).
   void OnProposed(double shown_intention, double preference, bool performed);
 
-  /// Prefetch hint ahead of OnProposed during the post-decision notify
-  /// sweep over a large P_q (each provider's window ring is its own heap
-  /// block; without the hint every Record opens with a cache miss).
+  /// Prefetch hint ahead of OnProposed: the mediation gather issues it for
+  /// every candidate, so the post-decision notify sweep over a large P_q
+  /// finds each window slot in cache (the rings together outgrow L2).
   void PrefetchProposalSlot() const { window_.PrefetchRecordSlot(); }
-
-  /// Prefetch hint ahead of the characterization-cache hit check: the
-  /// coarse stamps live in one dense store column, so the gather sweep
-  /// pulls the candidate's stamp line a few entries early.
-  void PrefetchCharacterizationStamp() const {
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(store_->char_revision_data() + slot_, 0, 1);
-#endif
-  }
 
   /// Accepts an allocated query: joins the FIFO queue; service takes
   /// units / capacity seconds once started. `on_completion` fires at

@@ -134,24 +134,47 @@ const ProviderProfile& Population::provider(ProviderId id) const {
 }
 
 double Population::ConsumerPreference(ConsumerId c, ProviderId p) const {
-  SQLB_CHECK(c.index() < config_.num_consumers, "unknown consumer id");
-  SQLB_CHECK(p.index() < providers_.size(), "unknown provider id");
-  if (config_.lazy_consumer_preferences) {
-    const PrefRange range = config_.interest_ranges[static_cast<std::size_t>(
-        providers_[p.index()].interest_class)];
-    return consumer_pref_rng_.Uniform(range.lo, range.hi, c.index(),
-                                      p.index());
-  }
-  return consumer_pref_[static_cast<std::size_t>(c.index()) *
-                            config_.num_providers +
-                        p.index()];
+  double pref;
+  ConsumerPreferences(c, &p, 1, &pref);
+  return pref;
 }
 
 double Population::ProviderPreference(ProviderId p, QueryId q) const {
-  SQLB_CHECK(p.index() < providers_.size(), "unknown provider id");
-  const PrefRange range = config_.adaptation_ranges[static_cast<std::size_t>(
-      providers_[p.index()].adaptation_class)];
-  return provider_pref_rng_.Uniform(range.lo, range.hi, p.index(), q);
+  double pref;
+  ProviderPreferences(&p, 1, q, &pref);
+  return pref;
+}
+
+void Population::ConsumerPreferences(ConsumerId c, const ProviderId* ids,
+                                     std::size_t n, double* out) const {
+  SQLB_CHECK(c.index() < config_.num_consumers, "unknown consumer id");
+  if (config_.lazy_consumer_preferences) {
+    for (std::size_t i = 0; i < n; ++i) {
+      SQLB_CHECK(ids[i].index() < providers_.size(), "unknown provider id");
+      const PrefRange range = config_.interest_ranges[static_cast<std::size_t>(
+          providers_[ids[i].index()].interest_class)];
+      out[i] = consumer_pref_rng_.Uniform(range.lo, range.hi, c.index(),
+                                          ids[i].index());
+    }
+    return;
+  }
+  const double* row = consumer_pref_.data() +
+                      static_cast<std::size_t>(c.index()) *
+                          config_.num_providers;
+  for (std::size_t i = 0; i < n; ++i) {
+    SQLB_CHECK(ids[i].index() < providers_.size(), "unknown provider id");
+    out[i] = row[ids[i].index()];
+  }
+}
+
+void Population::ProviderPreferences(const ProviderId* ids, std::size_t n,
+                                     QueryId q, double* out) const {
+  for (std::size_t i = 0; i < n; ++i) {
+    SQLB_CHECK(ids[i].index() < providers_.size(), "unknown provider id");
+    const PrefRange range = config_.adaptation_ranges[static_cast<std::size_t>(
+        providers_[ids[i].index()].adaptation_class)];
+    out[i] = provider_pref_rng_.Uniform(range.lo, range.hi, ids[i].index(), q);
+  }
 }
 
 double Population::QueryUnits(std::uint32_t class_index) const {

@@ -116,6 +116,14 @@ class Population {
   /// stable across calls and call order.
   double ProviderPreference(ProviderId p, QueryId q) const;
 
+  /// The batch forms of the two draws, for a mediation gather: out[i] is
+  /// ConsumerPreference(c, ids[i]), resp. ProviderPreference(ids[i], q),
+  /// filled in one loop.
+  void ConsumerPreferences(ConsumerId c, const ProviderId* ids, std::size_t n,
+                           double* out) const;
+  void ProviderPreferences(const ProviderId* ids, std::size_t n, QueryId q,
+                           double* out) const;
+
   /// Treatment units of query class `class_index`.
   double QueryUnits(std::uint32_t class_index) const;
   std::size_t num_query_classes() const {

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+
+#include "common/rng.h"
 
 namespace sqlb {
 namespace {
@@ -52,6 +57,41 @@ TEST(MathUtilTest, IntentionToUnit) {
   // Out-of-range intentions are clamped before mapping.
   EXPECT_DOUBLE_EQ(IntentionToUnit(-2.5), 0.0);
   EXPECT_DOUBLE_EQ(IntentionToUnit(3.0), 1.0);
+}
+
+TEST(MathUtilTest, IntentionToUnitIsBitIdenticalToTheClampFormula) {
+  const auto expect_formula = [](double x) {
+    const double formula = (ClampIntention(x) + 1.0) / 2.0;
+    const double unit = IntentionToUnit(x);
+    std::uint64_t a, b;
+    std::memcpy(&a, &formula, sizeof a);
+    std::memcpy(&b, &unit, sizeof b);
+    ASSERT_EQ(a, b) << std::hexfloat << x;
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double min = std::numeric_limits<double>::min();
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  for (double x : {0.0, -0.0, 1.0, -1.0, std::nextafter(1.0, 0.0),
+                   std::nextafter(-1.0, 0.0), 2.0, -2.0, kInf, -kInf,
+                   std::numeric_limits<double>::quiet_NaN(),
+                   -std::numeric_limits<double>::quiet_NaN(), min, -min,
+                   denorm, -denorm}) {
+    expect_formula(x);
+  }
+  // Every exponent (random bit patterns, NaNs and infinities included) and
+  // the intention range itself.
+  Rng rng(11);
+  for (int i = 0; i < 1000000; ++i) {
+    double x;
+    if (i % 2 == 0) {
+      const std::uint64_t bits = rng.NextUint64();
+      std::memcpy(&x, &bits, sizeof x);
+    } else {
+      x = rng.Uniform(-3.0, 3.0);
+    }
+    expect_formula(x);
+    if (HasFatalFailure()) return;
+  }
 }
 
 }  // namespace

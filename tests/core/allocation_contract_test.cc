@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <set>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/allocation.h"
@@ -158,6 +160,25 @@ TEST(CandidateColumnsTest, AtGathersTheExactPushedCandidate) {
   EXPECT_EQ(back.backlog_seconds, c.backlog_seconds);
   EXPECT_EQ(back.bid_price, c.bid_price);
   EXPECT_EQ(back.estimated_delay, c.estimated_delay);
+}
+
+TEST(CandidateColumnsTest, PushListsTheMutuallyWillingPairs) {
+  CandidateColumns columns;
+  // (PI, CI) per candidate: only both > 0 is willing; 0 is not.
+  const double intentions[][2] = {{0.5, 0.5},  {-0.5, 0.5}, {0.5, -0.5},
+                                  {0.0, 0.5},  {0.5, 0.0},  {1.0, 1e-300},
+                                  {-1.0, -1.0}, {0.25, 0.75}};
+  for (const auto& [pi, ci] : intentions) {
+    CandidateProvider c;
+    c.provider_intention = pi;
+    c.consumer_intention = ci;
+    columns.Push(c);
+  }
+  EXPECT_EQ(columns.willing, (std::vector<std::uint32_t>{0, 5, 7}));
+  columns.Clear();
+  EXPECT_TRUE(columns.willing.empty());
+  columns.ResizeRequired(3);
+  EXPECT_TRUE(columns.willing.empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -152,6 +152,18 @@ std::uint64_t Bits(double x) {
   return bits;
 }
 
+/// The mutually-willing indices, ascending: the list a gather supplies.
+std::vector<std::uint32_t> WillingList(const std::vector<double>& pi,
+                                       const std::vector<double>& ci) {
+  std::vector<std::uint32_t> willing;
+  for (std::size_t i = 0; i < pi.size(); ++i) {
+    if (pi[i] > 0.0 && ci[i] > 0.0) {
+      willing.push_back(static_cast<std::uint32_t>(i));
+    }
+  }
+  return willing;
+}
+
 void ExpectRankMatchesFullScoring(const RankCase& c) {
   const std::size_t n = c.pi.size();
   std::vector<double> full;
@@ -163,10 +175,11 @@ void ExpectRankMatchesFullScoring(const RankCase& c) {
   }
   std::vector<double> scores;
   std::vector<std::size_t> top;
+  std::vector<std::uint32_t> scratch;
   SqlbRankColumns(c.pi.data(), c.ci.data(), c.ps.data(), n,
                   c.consumer_satisfaction, c.epsilon,
                   c.fixed_omega.has_value() ? &*c.fixed_omega : nullptr, c.k,
-                  &scores, &top);
+                  WillingList(c.pi, c.ci), &scratch, &scores, &top);
   ASSERT_EQ(top, SelectTopN(full, c.k));
   ASSERT_EQ(scores.size(), n);
   const double kth = full[top.back()];
@@ -195,8 +208,10 @@ TEST(SqlbRankColumnsTest, SingleCandidateAndKAtLeastNScoreEverything) {
   all.k = 4;
   std::vector<double> scores;
   std::vector<std::size_t> top;
+  std::vector<std::uint32_t> scratch;
   SqlbRankColumns(all.pi.data(), all.ci.data(), all.ps.data(), 4, 0.5, 1.0,
-                  nullptr, all.k, &scores, &top);
+                  nullptr, all.k, WillingList(all.pi, all.ci), &scratch,
+                  &scores, &top);
   for (double s : scores) EXPECT_GT(s, -std::numeric_limits<double>::infinity());
   ExpectRankMatchesFullScoring(all);
   all.k = 9;
@@ -323,11 +338,14 @@ TEST(SqlbRankColumnsTest, RefusalPlaceholdersChangeNothingWithKWillingPairs) {
     }
     std::vector<double> exact_scores, deferred_scores;
     std::vector<std::size_t> exact_top, deferred_top;
+    std::vector<std::uint32_t> scratch;
     SqlbRankColumns(pi.data(), ci.data(), ps.data(), n, consumer_satisfaction,
-                    epsilon, nullptr, k, &exact_scores, &exact_top);
+                    epsilon, nullptr, k, WillingList(pi, ci), &scratch,
+                    &exact_scores, &exact_top);
     SqlbRankColumns(placeholder.data(), ci.data(), ps.data(), n,
                     consumer_satisfaction, epsilon, nullptr, k,
-                    &deferred_scores, &deferred_top);
+                    WillingList(placeholder, ci), &scratch, &deferred_scores,
+                    &deferred_top);
     SCOPED_TRACE(::testing::Message() << "trial " << trial);
     ASSERT_EQ(deferred_top, exact_top);
     for (std::size_t i = 0; i < n; ++i) {
@@ -368,6 +386,19 @@ TEST(LnLowerBoundTest, BracketsLogOverTheUnitInterval) {
   }
   for (int shift = 1; shift <= 52; ++shift) {
     check(std::ldexp(1.0 - rng.NextDouble() / 2.0, -1022 - shift));
+  }
+}
+
+// The negative branch's bases, 1 - pi + epsilon and 1 - ci + epsilon, reach
+// above 1: the same bracket holds there.
+TEST(LnLowerBoundTest, BracketsLogAboveOne) {
+  Rng rng(6);
+  for (int i = 0; i < 1000000; ++i) {
+    const double x = std::ldexp(1.0 + rng.NextDouble(),
+                                static_cast<int>(rng.NextBounded(12)));
+    const double lower = LnLowerBound(x);
+    ASSERT_LE(lower, std::log(x)) << std::hexfloat << x;
+    ASSERT_LE(std::log(x), lower + kLnLowerBoundSlack) << std::hexfloat << x;
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <cstdint>
 #include <cstring>
+#include <deque>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -254,6 +256,72 @@ TEST(PagedRingTest, MatchesRingBufferPushEvictionArithmetic) {
       }
     }
   }
+}
+
+TEST(PagedRingTest, CursorPushMatchesDequeAcrossWrapsMovesAndRewires) {
+  // Push writes through a cursor that is recomputed only at a chunk's end.
+  // Against a std::deque reference, at every step: the evicted value and
+  // every at(i), over several wraps, with the ring move-constructed at each
+  // chunk boundary and mid-chunk, and its pool rewired mid-run. The 16-byte
+  // element is the provider window's entry size.
+  struct Entry {
+    double a;
+    double b;
+  };
+  using Ring = PagedRing<Entry>;
+  constexpr std::size_t kChunk = Ring::kChunkCapacity;
+  AgentPoolConfig config;
+  config.enabled = true;
+  AgentArena first(config);
+  AgentArena second(config);
+  for (std::size_t capacity : {std::size_t{1}, kChunk - 1, kChunk, kChunk + 1,
+                               2 * kChunk, std::size_t{500}}) {
+    for (bool lazy : {true, false}) {
+      SCOPED_TRACE(::testing::Message() << "capacity " << capacity
+                                        << (lazy ? " lazy" : " eager"));
+      auto ring = std::make_unique<Ring>(capacity, lazy);
+      ring->set_pool(first.slabs());
+      std::deque<Entry> model;
+      const std::size_t pushes = 3 * capacity + 2 * kChunk + 5;
+      for (std::size_t step = 0; step < pushes; ++step) {
+        // The next slot's physical index is step % capacity.
+        const std::size_t in_chunk = step % capacity % kChunk;
+        if (in_chunk == 0 || in_chunk == kChunk / 2) {
+          const std::size_t resident = ring->resident_chunks();
+          ring = std::make_unique<Ring>(std::move(*ring));
+          ASSERT_EQ(ring->resident_chunks(), resident);
+        }
+        if (step == pushes / 2) ring->set_pool(second.slabs());
+        const Entry value{0.5 * static_cast<double>(step),
+                          -static_cast<double>(step)};
+        Entry evicted{-1.0, -1.0};
+        const bool did_evict = ring->Push(value, &evicted);
+        model.push_back(value);
+        ASSERT_EQ(did_evict, model.size() > capacity) << step;
+        if (did_evict) {
+          ASSERT_EQ(evicted.a, model.front().a) << step;
+          ASSERT_EQ(evicted.b, model.front().b) << step;
+          model.pop_front();
+        }
+        ASSERT_EQ(ring->size(), model.size());
+        for (std::size_t i = 0; i < model.size(); ++i) {
+          ASSERT_EQ(ring->at(i).a, model[i].a) << step << " " << i;
+          ASSERT_EQ(ring->at(i).b, model[i].b) << step << " " << i;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(first.slabs()->blocks_live(), 0u);
+  EXPECT_EQ(second.slabs()->blocks_live(), 0u);
+}
+
+TEST(PagedRingTest, ThirtyTwoBitIndicesPayForTheCursor) {
+  // Every provider window holds a ring. Five word-sized fields (the chunk
+  // table, the resident count, the pool, the cursor and its chunk end) and
+  // four 32-bit indices: 56 bytes on a 64-bit target, the ring's size
+  // before it had a cursor.
+  EXPECT_EQ(sizeof(PagedRing<double>),
+            5 * sizeof(void*) + 4 * sizeof(std::uint32_t));
 }
 
 TEST(PagedRingTest, LazyModeMaterializesChunksOnDemand) {

@@ -222,13 +222,17 @@ TEST(MonoMediatorTest, MultiProviderQueriesRespectQn) {
 /// Forwards to SqlbMethod and logs every decision. With `exact` it keeps
 /// the default column needs, so the gather evaluates Definition 8 for every
 /// candidate; without, it asks for SqlbMethod's needs, and counts the
-/// -infinity refusal placeholders it is handed.
+/// -infinity refusal placeholders it is handed. It also checks the gather's
+/// list of mutually-willing pairs against the columns.
 class LoggingSqlb final : public AllocationMethod {
  public:
   struct Entry {
     QueryId query;
     std::vector<std::uint32_t> providers;
     std::vector<double> scores;  // the selected ones', in selection order
+    /// The gather's CandidateColumns::willing held exactly the indices i
+    /// with PI > 0 and CI > 0, ascending.
+    bool willing_listed = false;
   };
 
   LoggingSqlb(bool exact, std::vector<Entry>* log,
@@ -243,8 +247,17 @@ class LoggingSqlb final : public AllocationMethod {
     for (double pi : request.candidates->provider_intention) {
       *placeholders_ += std::isinf(pi) ? 1 : 0;
     }
+    const CandidateColumns& columns = *request.candidates;
+    std::vector<std::uint32_t> willing;
+    for (std::size_t i = 0; i < columns.size(); ++i) {
+      if (columns.provider_intention[i] > 0.0 &&
+          columns.consumer_intention[i] > 0.0) {
+        willing.push_back(static_cast<std::uint32_t>(i));
+      }
+    }
     AllocationDecision decision = sqlb_.AllocateColumns(request);
-    Entry entry{request.query->id, {}, {}};
+    Entry entry{request.query->id, {}, {},
+                columns.willing == willing};
     for (std::size_t idx : decision.selected) {
       entry.providers.push_back(request.candidates->ids[idx].index());
       entry.scores.push_back(decision.scores[idx]);
@@ -326,6 +339,8 @@ void ExpectDeferralInvisible(const SystemConfig& scenario,
   for (std::size_t i = 0; i < deferred.log.size(); ++i) {
     const LoggingSqlb::Entry& x = deferred.log[i];
     const LoggingSqlb::Entry& y = exact.log[i];
+    ASSERT_TRUE(x.willing_listed) << "decision " << i;
+    ASSERT_TRUE(y.willing_listed) << "decision " << i;
     ASSERT_EQ(x.query, y.query) << "decision " << i;
     ASSERT_EQ(x.providers, y.providers) << "decision " << i;
     for (std::size_t j = 0; j < x.scores.size(); ++j) {

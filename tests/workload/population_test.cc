@@ -4,6 +4,7 @@
 
 #include <array>
 #include <map>
+#include <vector>
 
 namespace sqlb {
 namespace {
@@ -129,6 +130,48 @@ TEST(PopulationTest, ProviderPreferenceIsStableAcrossCalls) {
   const double first = population.ProviderPreference(ProviderId(3), 17);
   (void)population.ProviderPreference(ProviderId(9), 99);
   EXPECT_EQ(population.ProviderPreference(ProviderId(3), 17), first);
+}
+
+TEST(PopulationTest, BatchDrawsEqualThePerIdCalls) {
+  // ids in scattered order, with repeats.
+  std::vector<ProviderId> ids;
+  for (std::uint32_t i = 0; i < 40; ++i) ids.push_back(ProviderId(i * 17 % 40));
+  ids.push_back(ProviderId(5));
+  ids.push_back(ProviderId(0));
+  for (bool lazy : {false, true}) {
+    PopulationConfig config = SmallConfig();
+    config.lazy_consumer_preferences = lazy;
+    Population population(config, 31);
+    std::vector<double> batch(ids.size());
+    for (std::uint32_t c : {0u, 7u, 19u}) {
+      population.ConsumerPreferences(ConsumerId(c), ids.data(), ids.size(),
+                                     batch.data());
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        EXPECT_EQ(batch[i],
+                  population.ConsumerPreference(ConsumerId(c), ids[i]))
+            << (lazy ? "lazy " : "eager ") << c << " " << i;
+      }
+    }
+    for (QueryId q : {QueryId{0}, QueryId{3}, QueryId{123456789}}) {
+      population.ProviderPreferences(ids.data(), ids.size(), q, batch.data());
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        EXPECT_EQ(batch[i], population.ProviderPreference(ids[i], q))
+            << q << " " << i;
+      }
+    }
+  }
+}
+
+TEST(PopulationDeathTest, BatchDrawsCheckEveryId) {
+  Population population(SmallConfig(), 3);
+  const std::vector<ProviderId> ids = {ProviderId(1), ProviderId(40)};
+  std::vector<double> out(ids.size());
+  EXPECT_DEATH(population.ProviderPreferences(ids.data(), ids.size(), 0,
+                                              out.data()),
+               "unknown provider id");
+  EXPECT_DEATH(population.ConsumerPreferences(ConsumerId(0), ids.data(),
+                                              ids.size(), out.data()),
+               "unknown provider id");
 }
 
 TEST(PopulationTest, SameSeedSamePopulation) {
